@@ -6,35 +6,52 @@
 //!
 //! A store file is a flat sequence of 8-byte-aligned, self-delimiting,
 //! checksummed records followed by a footer index, so it can be read
-//! zero-copy and recovered after a torn write:
+//! zero-copy and recovered after a torn write. Records come in two
+//! kinds. An **encoder record** holds one stored encoder's `F × D`
+//! transposed projection and its phase vector. A **model record** holds
+//! one pipeline's spec and class memory plus a *reference* (the file
+//! offset) to each encoder record it is built on. Models that share an
+//! encoder — one fit published under many ids, or the tiers of one
+//! degrade ladder — share one encoder record on disk and one projection
+//! allocation in memory.
 //!
 //! ```text
 //! +--------------------------------------------------------------+
-//! | header: "BHFS" magic (u32 LE) | version u8 | 3 pad bytes     |  8 B
+//! | header: "BHFS" magic (u32 LE) | version u8 (2) | 3 pad bytes |  8 B
 //! +--------------------------------------------------------------+
 //! | record 0  (8-aligned)                                        |
-//! |   "FREC" magic u32 | flags u32 (0)                           |
+//! |   "FREC" magic u32 | kind u32 (0 = model, 1 = encoder)       |
 //! |   total_len u64   -- 48-byte header + padded meta + heap     |
 //! |   meta_len u64    -- unpadded meta byte count                |
-//! |   heap_len u64    -- payload heap byte count                 |
+//! |   heap_len u64    -- payload heap byte count (multiple of 8) |
 //! |   meta_checksum u64 (FNV-1a 64 over meta bytes)              |
 //! |   heap_checksum u64 (FNV-1a 64 over heap bytes)              |
 //! |   meta bytes, zero-padded to the next 8-byte boundary:       |
-//! |     model_id (u64 len + UTF-8 bytes), version u64,           |
-//! |     structure stream (u64 len + bytes)                       |
-//! |   payload heap bytes (starts 8-aligned within the record)    |
+//! |     model:   model_id (u64 len + UTF-8 bytes), version u64,  |
+//! |              encoder refs (u64 count + u64 record offsets),  |
+//! |              structure stream (u64 len + bytes)              |
+//! |     encoder: structure stream (shape + heap offsets)         |
+//! |   payload heap bytes (starts 8-aligned within the record):   |
+//! |     model:   class memory                                    |
+//! |     encoder: transposed projection, then phase vector        |
 //! +--------------------------------------------------------------+
 //! | record 1 ... record N-1 (each starts 8-aligned)              |
 //! +--------------------------------------------------------------+
 //! | footer index:                                                |
-//! |   entry_count u64, then per entry:                           |
+//! |   model_count u64, then per model record:                    |
 //! |     id_len u64 | id bytes | version u64 | offset u64         |
 //! |     | total_len u64                                          |
+//! |   encoder_count u64, then per encoder record:                |
+//! |     offset u64 | total_len u64 | fingerprint u64             |
 //! | trailer (last 40 bytes of the file):                         |
 //! |   index_off u64 | index_len u64 | index_checksum u64         |
-//! |   | entry_count u64 | "BHFSIDX\0" magic u64                  |
+//! |   | model_count u64 | "BHFSIDX\0" magic u64                  |
 //! +--------------------------------------------------------------+
 //! ```
+//!
+//! **Version invariant.** This is format version 2. Version 1 stores
+//! inlined a full projection in every model record; [`ModelStore::open`]
+//! rejects them with a message asking for the store to be rebuilt.
 //!
 //! **Alignment invariant.** Every record starts on an 8-byte boundary
 //! and its payload heap starts on an 8-byte boundary *within* the
@@ -44,17 +61,31 @@
 //! deserializing — loading a model performs no per-array copies.
 //!
 //! **Checksum invariant.** `meta_checksum`/`heap_checksum` are FNV-1a
-//! 64 over the exact stored bytes and are verified on every admission,
-//! so a flipped bit on disk surfaces as a descriptive error rather
-//! than a corrupt model.
+//! 64 over the exact stored bytes. A model record is verified on every
+//! admission; an encoder record when it is first read into memory. A
+//! flipped bit on disk surfaces as a descriptive error rather than a
+//! corrupt model — for an encoder record, on every model built on it.
+//!
+//! **Sharing invariant.** [`ModelStore::append`] writes an encoder
+//! record only for an encoder no earlier record holds. Two encoders are
+//! the same only when their shape, projection bytes, and phase bytes are
+//! equal: a sampled fingerprint picks candidates and a full byte
+//! comparison confirms them. Loads decode every model built on one
+//! encoder record out of one cached blob (held while any loaded model
+//! uses it), so their projections are one allocation; the copy-on-write
+//! storage in [`linalg::share`] keeps a mutation, such as fault
+//! injection, local to the model that makes it.
 //!
 //! **Durability invariant.** [`ModelStore::append`] seeks to the end
 //! of the record region (overwriting the previous footer), writes the
-//! new records, `fsync`s the data, and only then writes + `fsync`s the
-//! new footer. A crash at any point leaves either the old footer
-//! intact or a missing/torn footer; [`ModelStore::open`] falls back to
-//! scanning the self-delimiting records from the top and keeps exactly
-//! the checksum-valid prefix. A store is never loadable-but-corrupt.
+//! new encoder records and then the model records that reference them,
+//! `fsync`s the data, and only then writes + `fsync`s the new footer. A
+//! crash at any point leaves either the old footer intact or a
+//! missing/torn footer; [`ModelStore::open`] falls back to scanning the
+//! self-delimiting records from the top and keeps exactly the
+//! checksum-valid prefix, ending it early at any model record whose
+//! encoder record is not in that prefix. A store is never
+//! loadable-but-corrupt.
 //!
 //! # The registry
 //!
@@ -67,23 +98,32 @@
 //! until the last snapshot drops ([`Fleet::draining_count`]).
 
 use crate::error::{BoostHdError, Result};
+use crate::persist::{encoder_from_parts, RecordParts};
 use crate::pipeline::Pipeline;
+use hdc::encoder::SinusoidEncoder;
 use linalg::Blob;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, Weak};
 
 const STORE_MAGIC: u32 = u32::from_le_bytes(*b"BHFS");
-const STORE_VERSION: u8 = 1;
+const STORE_VERSION: u8 = 2;
 const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"FREC");
+/// Record kind of a published model tier.
+const KIND_MODEL: u32 = 0;
+/// Record kind of a stored encoder that model records reference.
+const KIND_ENCODER: u32 = 1;
 const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"BHFSIDX\0");
 const HEADER_LEN: u64 = 8;
 const RECORD_HEADER_LEN: u64 = 48;
 const TRAILER_LEN: u64 = 40;
 /// Per-record ceiling; rejects absurd length fields before allocating.
 const MAX_RECORD_LEN: u64 = 1 << 40;
+/// Heap words an encoder fingerprint samples.
+const FINGERPRINT_SAMPLES: usize = 64;
 
 fn store_err(reason: impl Into<String>) -> BoostHdError {
     BoostHdError::DataMismatch {
@@ -95,6 +135,15 @@ fn io_err(what: &str, e: std::io::Error) -> BoostHdError {
     store_err(format!("fleet store {what}: {e}"))
 }
 
+/// Prefixes `e`'s reason with `what`.
+fn with_context(what: &str, e: BoostHdError) -> BoostHdError {
+    let reason = match e {
+        BoostHdError::DataMismatch { reason } => reason,
+        other => other.to_string(),
+    };
+    store_err(format!("{what}: {reason}"))
+}
+
 /// FNV-1a 64-bit; the store's per-record and footer checksum.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -103,6 +152,24 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// Dedup candidate filter for encoder records: FNV-1a over the encoder's
+/// structure stream, its heap length, and [`FINGERPRINT_SAMPLES`] heap
+/// words at an even stride. Equal encoders always share a fingerprint;
+/// a shared fingerprint only nominates a candidate, which a full byte
+/// comparison must confirm. Costs the same for any encoder size.
+fn encoder_fingerprint(structure: &[u8], heap: &[u8]) -> u64 {
+    let words = heap.len() / 8;
+    let samples = FINGERPRINT_SAMPLES.min(words);
+    let mut probe = Vec::with_capacity(structure.len() + 8 * (samples + 1));
+    probe.extend_from_slice(structure);
+    push_u64(&mut probe, heap.len() as u64);
+    for i in 0..samples {
+        let w = i * words / samples;
+        probe.extend_from_slice(&heap[w * 8..w * 8 + 8]);
+    }
+    fnv1a64(&probe)
 }
 
 fn align8(n: u64) -> u64 {
@@ -124,8 +191,8 @@ fn read_u64(bytes: &[u8], off: usize, what: &str) -> Result<u64> {
     Ok(u64::from_le_bytes(raw))
 }
 
-/// One record's location in the store, as listed by the footer index
-/// (or recovered by the torn-tail scan).
+/// One model record's location in the store, as listed by the footer
+/// index (or recovered by the torn-tail scan).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreEntry {
     /// Logical model name this record belongs to.
@@ -138,6 +205,18 @@ pub struct StoreEntry {
     pub total_len: u64,
 }
 
+/// One encoder record's location, its dedup fingerprint, and the load
+/// cache for its blob.
+#[derive(Debug)]
+struct EncoderEntry {
+    offset: u64,
+    total_len: u64,
+    fingerprint: u64,
+    /// The checksum-verified record blob, while any loaded model still
+    /// borrows its projection.
+    blob: Weak<Blob>,
+}
+
 /// Append-only on-disk model store (`.bhfs`). See the module docs for
 /// the record format and its alignment/checksum/durability invariants.
 pub struct ModelStore {
@@ -147,9 +226,54 @@ pub struct ModelStore {
 }
 
 struct StoreState {
+    /// Model records, in append (= tier) order.
     entries: Vec<StoreEntry>,
+    /// Positions in `entries` of each model id's records, in append order.
+    by_id: HashMap<String, Vec<usize>>,
+    /// Encoder records, in file (= ascending offset) order.
+    encoders: Vec<EncoderEntry>,
     /// Byte offset one past the last record; the footer starts here.
     record_end: u64,
+}
+
+impl StoreState {
+    fn new(entries: Vec<StoreEntry>, encoders: Vec<EncoderEntry>, record_end: u64) -> Self {
+        let mut st = StoreState {
+            entries: Vec::new(),
+            by_id: HashMap::new(),
+            encoders,
+            record_end,
+        };
+        for entry in entries {
+            st.push_entry(entry);
+        }
+        st
+    }
+
+    fn push_entry(&mut self, entry: StoreEntry) {
+        self.by_id
+            .entry(entry.model_id.clone())
+            .or_default()
+            .push(self.entries.len());
+        self.entries.push(entry);
+    }
+
+    /// `model_id`'s records, in append order.
+    fn model_entries<'a>(&'a self, model_id: &str) -> impl Iterator<Item = &'a StoreEntry> {
+        self.by_id
+            .get(model_id)
+            .into_iter()
+            .flatten()
+            .map(|&i| &self.entries[i])
+    }
+
+    fn encoder_mut(&mut self, offset: u64) -> Option<&mut EncoderEntry> {
+        let i = self
+            .encoders
+            .binary_search_by_key(&offset, |e| e.offset)
+            .ok()?;
+        Some(&mut self.encoders[i])
+    }
 }
 
 impl ModelStore {
@@ -169,14 +293,12 @@ impl ModelStore {
         header.push(STORE_VERSION);
         header.extend_from_slice(&[0u8; 3]);
         file.write_all(&header).map_err(|e| io_err("write", e))?;
-        write_footer(&mut file, &[], HEADER_LEN)?;
+        write_footer(&mut file, &[], &[], HEADER_LEN)?;
+        let state = StoreState::new(Vec::new(), Vec::new(), HEADER_LEN);
         Ok(Self {
             path,
             file: Mutex::new(file),
-            state: Mutex::new(StoreState {
-                entries: Vec::new(),
-                record_end: HEADER_LEN,
-            }),
+            state: Mutex::new(state),
         })
     }
 
@@ -204,23 +326,29 @@ impl ModelStore {
         if magic != STORE_MAGIC {
             return Err(store_err("not a BHFS fleet store (bad magic)"));
         }
-        if header[4] > STORE_VERSION {
-            return Err(store_err(format!(
-                "fleet store version {} is newer than this build supports ({STORE_VERSION})",
-                header[4]
-            )));
+        match header[4] {
+            STORE_VERSION => {}
+            old if old < STORE_VERSION => {
+                return Err(store_err(format!(
+                    "fleet store version {old} stores a projection in every model record; \
+                     this build reads version {STORE_VERSION} only: rebuild the store by \
+                     publishing its models again"
+                )))
+            }
+            new => {
+                return Err(store_err(format!(
+                    "fleet store version {new} is newer than this build supports ({STORE_VERSION})"
+                )))
+            }
         }
-        let (entries, record_end) = match read_footer(&mut file, file_len) {
-            Ok(parsed) => parsed,
+        let state = match read_footer(&mut file, file_len) {
+            Ok(state) => state,
             Err(_) => recover_by_scan(&mut file, file_len)?,
         };
         Ok(Self {
             path,
             file: Mutex::new(file),
-            state: Mutex::new(StoreState {
-                entries,
-                record_end,
-            }),
+            state: Mutex::new(state),
         })
     }
 
@@ -229,7 +357,8 @@ impl ModelStore {
         &self.path
     }
 
-    /// Snapshot of the index, in append (= tier) order.
+    /// Snapshot of the model-record index, in append (= tier) order.
+    /// Encoder records are not listed.
     pub fn entries(&self) -> Vec<StoreEntry> {
         self.state.lock().unwrap().entries.clone()
     }
@@ -237,12 +366,7 @@ impl ModelStore {
     /// Distinct versions published for `model_id`, ascending.
     pub fn versions(&self, model_id: &str) -> Vec<u64> {
         let st = self.state.lock().unwrap();
-        let mut versions: Vec<u64> = st
-            .entries
-            .iter()
-            .filter(|e| e.model_id == model_id)
-            .map(|e| e.version)
-            .collect();
+        let mut versions: Vec<u64> = st.model_entries(model_id).map(|e| e.version).collect();
         versions.sort_unstable();
         versions.dedup();
         versions
@@ -250,12 +374,16 @@ impl ModelStore {
 
     /// Highest version published for `model_id`, if any.
     pub fn latest_version(&self, model_id: &str) -> Option<u64> {
-        self.versions(model_id).last().copied()
+        let st = self.state.lock().unwrap();
+        st.model_entries(model_id).map(|e| e.version).max()
     }
 
     /// Appends one published model — all its degrade-ladder tiers, most
     /// precise first — under `(model_id, version)` and atomically
     /// republishes the footer, so the tiers become visible as one unit.
+    /// Each stored encoder the tiers use is written as an encoder record
+    /// only if no earlier record holds the same encoder; the model
+    /// records reference it either way.
     ///
     /// Durability: record bytes are written and `fsync`ed before the
     /// footer that names them is written and `fsync`ed. A crash in
@@ -269,11 +397,10 @@ impl ModelStore {
             return Err(store_err("model_id must be non-empty"));
         }
         // Encode every tier before touching the file.
-        let mut blobs = Vec::with_capacity(tiers.len());
-        for tier in tiers {
-            let (structure, heap) = tier.encode_store_parts()?;
-            blobs.push(encode_record(model_id, version, &structure, &heap));
-        }
+        let parts = tiers
+            .iter()
+            .map(|tier| tier.encode_store_parts())
+            .collect::<Result<Vec<_>>>()?;
 
         let mut file = OpenOptions::new()
             .read(true)
@@ -281,29 +408,26 @@ impl ModelStore {
             .open(&self.path)
             .map_err(|e| io_err("open for append", e))?;
         let mut st = self.state.lock().unwrap();
-        let mut offset = st.record_end;
-        let mut new_entries = st.entries.clone();
-        file.seek(SeekFrom::Start(offset))
-            .map_err(|e| io_err("seek", e))?;
-        for record in &blobs {
-            file.write_all(record).map_err(|e| io_err("write", e))?;
-            new_entries.push(StoreEntry {
-                model_id: model_id.to_string(),
-                version,
-                offset,
-                total_len: record.len() as u64,
-            });
-            offset += record.len() as u64;
+        let (models_before, encoders_before) = (st.entries.len(), st.encoders.len());
+        match append_locked(&mut st, &mut file, model_id, version, &parts) {
+            Ok(()) => {
+                // Refresh the shared read handle: the old one is still
+                // valid (records never move), but keeping it in sync keeps
+                // recovery reasoning simple.
+                *self.file.lock().unwrap() = file;
+                Ok(())
+            }
+            Err(e) => {
+                // Every entry this append pushed is `model_id`'s.
+                let pushed = st.entries.len() - models_before;
+                st.entries.truncate(models_before);
+                if let Some(ix) = st.by_id.get_mut(model_id) {
+                    ix.truncate(ix.len() - pushed);
+                }
+                st.encoders.truncate(encoders_before);
+                Err(e)
+            }
         }
-        file.sync_all().map_err(|e| io_err("fsync", e))?;
-        write_footer(&mut file, &new_entries, offset)?;
-        st.entries = new_entries;
-        st.record_end = offset;
-        // Refresh the shared read handle: the old one is still valid
-        // (records never move), but keeping it in sync keeps recovery
-        // reasoning simple.
-        *self.file.lock().unwrap() = file;
-        Ok(())
     }
 
     /// Loads every tier published under `(model_id, version)` as one
@@ -311,9 +435,12 @@ impl ModelStore {
     /// decoded zero-copy; both checksums are verified first.
     pub fn load(&self, model_id: &str, version: u64) -> Result<FleetModel> {
         let entries: Vec<StoreEntry> = self
-            .entries()
-            .into_iter()
-            .filter(|e| e.model_id == model_id && e.version == version)
+            .state
+            .lock()
+            .unwrap()
+            .model_entries(model_id)
+            .filter(|e| e.version == version)
+            .cloned()
             .collect();
         if entries.is_empty() {
             return Err(store_err(format!(
@@ -339,93 +466,275 @@ impl ModelStore {
         self.load(model_id, version)
     }
 
-    /// Reads one record into a fresh blob and decodes it zero-copy.
+    /// Reads one model record into a fresh blob and decodes it zero-copy,
+    /// with its encoders shared out of their encoder records' blobs.
     pub fn load_record(&self, entry: &StoreEntry) -> Result<Pipeline> {
-        if entry.total_len > MAX_RECORD_LEN {
+        let blob = Arc::new(self.read_blob(entry.offset, entry.total_len)?);
+        let bytes = blob.as_bytes();
+        let layout = verify_record(bytes, entry.total_len)?;
+        if layout.kind != KIND_MODEL {
             return Err(store_err(format!(
-                "record claims {} bytes, above the {MAX_RECORD_LEN}-byte ceiling",
-                entry.total_len
+                "record at offset {} is not a model record",
+                entry.offset
             )));
         }
-        let mut raw = vec![0u8; entry.total_len as usize];
-        {
-            let mut file = self.file.lock().unwrap();
-            file.seek(SeekFrom::Start(entry.offset))
-                .map_err(|e| io_err("seek", e))?;
-            file.read_exact(&mut raw).map_err(|e| io_err("read", e))?;
+        let meta = parse_model_meta(&bytes[layout.meta.clone()])?;
+        let encoders = meta
+            .encoder_refs
+            .iter()
+            .map(|&offset| self.shared_encoder(offset))
+            .collect::<Result<Vec<_>>>()
+            .map_err(|e| {
+                with_context(
+                    &format!("model '{}' version {}", entry.model_id, entry.version),
+                    e,
+                )
+            })?;
+        let structure = &bytes
+            [layout.meta.start + meta.structure.start..layout.meta.start + meta.structure.end];
+        Pipeline::decode_store_parts(
+            structure,
+            Arc::clone(&blob),
+            layout.heap.start,
+            layout.heap.len(),
+            &encoders,
+        )
+    }
+
+    /// Decodes the encoder record at `offset` zero-copy out of its cached
+    /// blob, reading and verifying the record only when no loaded model
+    /// holds that blob any more.
+    fn shared_encoder(&self, offset: u64) -> Result<SinusoidEncoder> {
+        let (total_len, cached) = {
+            let mut st = self.state.lock().unwrap();
+            let entry = st.encoder_mut(offset).ok_or_else(|| {
+                store_err(format!(
+                    "encoder record at offset {offset} is not in the store"
+                ))
+            })?;
+            (entry.total_len, entry.blob.upgrade())
+        };
+        let blob = match cached {
+            Some(blob) => blob,
+            None => {
+                let context = format!("shared encoder record at offset {offset}");
+                let blob = Arc::new(
+                    self.read_blob(offset, total_len)
+                        .map_err(|e| with_context(&context, e))?,
+                );
+                let layout = verify_record(blob.as_bytes(), total_len)
+                    .map_err(|e| with_context(&context, e))?;
+                if layout.kind != KIND_ENCODER {
+                    return Err(store_err(format!("{context} is not an encoder record")));
+                }
+                // Publish the blob unless a concurrent load beat us to it,
+                // so every model shares one projection allocation.
+                let mut st = self.state.lock().unwrap();
+                match st.encoder_mut(offset) {
+                    Some(entry) => match entry.blob.upgrade() {
+                        Some(won) => won,
+                        None => {
+                            entry.blob = Arc::downgrade(&blob);
+                            blob
+                        }
+                    },
+                    None => blob,
+                }
+            }
+        };
+        let layout = record_layout(blob.as_bytes(), total_len)?;
+        let structure = &blob.as_bytes()[layout.meta.clone()];
+        encoder_from_parts(
+            structure,
+            Arc::clone(&blob),
+            layout.heap.start,
+            layout.heap.len(),
+        )
+    }
+
+    /// Reads `total_len` bytes at `offset` into a fresh 8-aligned blob.
+    fn read_blob(&self, offset: u64, total_len: u64) -> Result<Blob> {
+        if total_len > MAX_RECORD_LEN {
+            return Err(store_err(format!(
+                "record claims {total_len} bytes, above the {MAX_RECORD_LEN}-byte ceiling"
+            )));
         }
-        let blob = Arc::new(Blob::from_bytes(&raw));
-        decode_record(blob, entry.total_len)
+        let raw = read_at(&mut self.file.lock().unwrap(), offset, total_len)?;
+        Ok(Blob::from_bytes(&raw))
     }
 }
 
-/// Serializes one record (header + padded meta + heap) to bytes.
-/// Callers must place it at an 8-aligned file offset.
-fn encode_record(model_id: &str, version: u64, structure: &[u8], heap: &[u8]) -> Vec<u8> {
-    let mut meta = Vec::with_capacity(24 + model_id.len() + structure.len());
+/// Writes one append's records and the footer that names them, pushing
+/// the new entries onto `st` (the caller rolls them back on error).
+fn append_locked(
+    st: &mut StoreState,
+    file: &mut File,
+    model_id: &str,
+    version: u64,
+    parts: &[(RecordParts, Vec<RecordParts>)],
+) -> Result<()> {
+    let stored_encoders = st.encoders.len();
+    let mut offset = st.record_end;
+    let mut records = Vec::new();
+    // Encoder records this append writes, for the tiers that share them.
+    let mut written: Vec<(u64, &RecordParts)> = Vec::new();
+    for (body, encoders) in parts {
+        let mut encoder_refs = Vec::with_capacity(encoders.len());
+        for encoder in encoders {
+            let fingerprint = encoder_fingerprint(&encoder.structure, &encoder.heap);
+            let known = match written.iter().find(|(_, w)| *w == encoder) {
+                Some(&(at, _)) => Some(at),
+                None => find_encoder(file, &st.encoders[..stored_encoders], fingerprint, encoder)?,
+            };
+            let at = match known {
+                Some(at) => at,
+                None => {
+                    let record = encode_record(KIND_ENCODER, &encoder.structure, &encoder.heap);
+                    st.encoders.push(EncoderEntry {
+                        offset,
+                        total_len: record.len() as u64,
+                        fingerprint,
+                        blob: Weak::new(),
+                    });
+                    written.push((offset, encoder));
+                    let at = offset;
+                    offset += record.len() as u64;
+                    records.push(record);
+                    at
+                }
+            };
+            encoder_refs.push(at);
+        }
+        let meta = model_meta(model_id, version, &encoder_refs, &body.structure);
+        let record = encode_record(KIND_MODEL, &meta, &body.heap);
+        st.push_entry(StoreEntry {
+            model_id: model_id.to_string(),
+            version,
+            offset,
+            total_len: record.len() as u64,
+        });
+        offset += record.len() as u64;
+        records.push(record);
+    }
+    file.seek(SeekFrom::Start(st.record_end))
+        .map_err(|e| io_err("seek", e))?;
+    for record in &records {
+        file.write_all(record).map_err(|e| io_err("write", e))?;
+    }
+    file.sync_all().map_err(|e| io_err("fsync", e))?;
+    write_footer(file, &st.entries, &st.encoders, offset)?;
+    st.record_end = offset;
+    Ok(())
+}
+
+/// The first of `stored` whose record holds exactly `encoder`'s bytes.
+/// Only fingerprint matches are compared, against the cached blob when a
+/// loaded model holds one and the file otherwise.
+fn find_encoder(
+    file: &mut File,
+    stored: &[EncoderEntry],
+    fingerprint: u64,
+    encoder: &RecordParts,
+) -> Result<Option<u64>> {
+    for candidate in stored.iter().filter(|e| e.fingerprint == fingerprint) {
+        let same = match candidate.blob.upgrade() {
+            Some(blob) => record_body_matches(blob.as_bytes(), encoder),
+            None => record_body_matches(
+                &read_at(file, candidate.offset, candidate.total_len)?,
+                encoder,
+            ),
+        };
+        if same {
+            return Ok(Some(candidate.offset));
+        }
+    }
+    Ok(None)
+}
+
+/// Whether an encoder record's meta and heap are byte-for-byte `parts`.
+fn record_body_matches(record: &[u8], parts: &RecordParts) -> bool {
+    record_layout(record, record.len() as u64).is_ok_and(|layout| {
+        record[layout.meta] == parts.structure[..] && record[layout.heap] == parts.heap[..]
+    })
+}
+
+/// Reads `len` bytes at `offset`.
+fn read_at(file: &mut File, offset: u64, len: u64) -> Result<Vec<u8>> {
+    let mut raw = vec![0u8; len as usize];
+    file.seek(SeekFrom::Start(offset))
+        .map_err(|e| io_err("seek", e))?;
+    file.read_exact(&mut raw).map_err(|e| io_err("read", e))?;
+    Ok(raw)
+}
+
+/// Model record meta: id, version, encoder record offsets, structure.
+fn model_meta(model_id: &str, version: u64, encoder_refs: &[u64], structure: &[u8]) -> Vec<u8> {
+    let mut meta =
+        Vec::with_capacity(32 + model_id.len() + 8 * encoder_refs.len() + structure.len());
     push_u64(&mut meta, model_id.len() as u64);
     meta.extend_from_slice(model_id.as_bytes());
     push_u64(&mut meta, version);
+    push_u64(&mut meta, encoder_refs.len() as u64);
+    for &at in encoder_refs {
+        push_u64(&mut meta, at);
+    }
     push_u64(&mut meta, structure.len() as u64);
     meta.extend_from_slice(structure);
+    meta
+}
 
+/// Serializes one record (header + padded meta + heap) to bytes.
+/// Callers must place it at an 8-aligned file offset; `heap` is already
+/// a multiple of 8 long, so the record ends 8-aligned too.
+fn encode_record(kind: u32, meta: &[u8], heap: &[u8]) -> Vec<u8> {
+    debug_assert_eq!(heap.len() % 8, 0, "payload heap must be 8-padded");
     let meta_len = meta.len() as u64;
     let heap_off = RECORD_HEADER_LEN + align8(meta_len);
     let total_len = heap_off + heap.len() as u64;
-    debug_assert_eq!(heap_off % 8, 0, "payload heap must start 8-aligned");
 
-    let mut record = Vec::with_capacity(align8(total_len) as usize);
+    let mut record = Vec::with_capacity(total_len as usize);
     record.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
-    record.extend_from_slice(&0u32.to_le_bytes());
+    record.extend_from_slice(&kind.to_le_bytes());
     push_u64(&mut record, total_len);
     push_u64(&mut record, meta_len);
     push_u64(&mut record, heap.len() as u64);
-    push_u64(&mut record, fnv1a64(&meta));
+    push_u64(&mut record, fnv1a64(meta));
     push_u64(&mut record, fnv1a64(heap));
-    record.extend_from_slice(&meta);
+    record.extend_from_slice(meta);
     record.resize(heap_off as usize, 0);
     record.extend_from_slice(heap);
-    // Pad so the next record starts 8-aligned.
-    record.resize(align8(total_len) as usize, 0);
     record
 }
 
-/// Parses + checksums a record blob and decodes its pipeline zero-copy.
-fn decode_record(blob: Arc<Blob>, total_len: u64) -> Result<Pipeline> {
-    let (meta_range, heap_off, heap_len) = validate_record(blob.as_bytes(), 0, total_len)?;
-    let bytes = blob.as_bytes();
-    let meta = &bytes[meta_range.0..meta_range.1];
-    let (_, _, structure_range) = parse_meta(meta, meta_range.0)?;
-    let structure = &bytes[structure_range.0..structure_range.1];
-    Pipeline::decode_store_parts(structure, Arc::clone(&blob), heap_off, heap_len)
+/// A record's header fields: its kind, checksums, and the meta and heap
+/// byte ranges within the record.
+struct RecordLayout {
+    kind: u32,
+    meta: Range<usize>,
+    heap: Range<usize>,
+    meta_checksum: u64,
+    heap_checksum: u64,
 }
 
-/// Validates one record's header and checksums at `offset` inside
-/// `bytes`. Returns the absolute meta byte range, plus the heap offset
-/// (relative to the record start) and length.
-fn validate_record(
-    bytes: &[u8],
-    offset: usize,
-    expect_total: u64,
-) -> Result<((usize, usize), usize, usize)> {
-    let header_end = offset
-        .checked_add(RECORD_HEADER_LEN as usize)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| store_err("fleet store truncated inside a record header"))?;
-    let magic = u32::from_le_bytes([
-        bytes[offset],
-        bytes[offset + 1],
-        bytes[offset + 2],
-        bytes[offset + 3],
-    ]);
-    if magic != RECORD_MAGIC {
+/// Parses the header of the record starting at `record[0]`, checking its
+/// magic, kind, and length fields but not its checksums.
+fn record_layout(record: &[u8], expect_total: u64) -> Result<RecordLayout> {
+    if record.len() < RECORD_HEADER_LEN as usize {
+        return Err(store_err("fleet store truncated inside a record header"));
+    }
+    let word = |at: usize| {
+        u32::from_le_bytes([record[at], record[at + 1], record[at + 2], record[at + 3]])
+    };
+    if word(0) != RECORD_MAGIC {
         return Err(store_err("record magic mismatch"));
     }
-    let total_len = read_u64(bytes, offset + 8, "record total_len")?;
-    let meta_len = read_u64(bytes, offset + 16, "record meta_len")?;
-    let heap_len = read_u64(bytes, offset + 24, "record heap_len")?;
-    let meta_checksum = read_u64(bytes, offset + 32, "record meta checksum")?;
-    let heap_checksum = read_u64(bytes, offset + 40, "record heap checksum")?;
+    let kind = word(4);
+    if kind != KIND_MODEL && kind != KIND_ENCODER {
+        return Err(store_err(format!("unknown record kind {kind}")));
+    }
+    let total_len = read_u64(record, 8, "record total_len")?;
+    let meta_len = read_u64(record, 16, "record meta_len")?;
+    let heap_len = read_u64(record, 24, "record heap_len")?;
     if total_len != expect_total {
         return Err(store_err(format!(
             "record claims {total_len} bytes but the index lists {expect_total}"
@@ -435,65 +744,93 @@ fn validate_record(
         return Err(store_err("record length fields are inconsistent"));
     }
     let heap_off = RECORD_HEADER_LEN + align8(meta_len);
-    if heap_off + heap_len != total_len {
+    if heap_off + heap_len != total_len || heap_len % 8 != 0 {
         return Err(store_err(format!(
             "record layout mismatch: header {RECORD_HEADER_LEN} + padded meta {} + heap {heap_len} != total {total_len}",
             align8(meta_len)
         )));
     }
-    let meta_start = header_end;
-    let meta_end = meta_start + meta_len as usize;
-    let record_end = offset + total_len as usize;
-    if record_end > bytes.len() || meta_end > bytes.len() {
+    if total_len > record.len() as u64 {
         return Err(store_err("record extends past the end of the store"));
     }
-    let meta = &bytes[meta_start..meta_end];
-    if fnv1a64(meta) != meta_checksum {
+    let meta_start = RECORD_HEADER_LEN as usize;
+    Ok(RecordLayout {
+        kind,
+        meta: meta_start..meta_start + meta_len as usize,
+        heap: heap_off as usize..total_len as usize,
+        meta_checksum: read_u64(record, 32, "record meta checksum")?,
+        heap_checksum: read_u64(record, 40, "record heap checksum")?,
+    })
+}
+
+/// [`record_layout`] plus both checksums.
+fn verify_record(record: &[u8], expect_total: u64) -> Result<RecordLayout> {
+    let layout = record_layout(record, expect_total)?;
+    if fnv1a64(&record[layout.meta.clone()]) != layout.meta_checksum {
         return Err(store_err(
             "record meta checksum mismatch: store file is corrupt or torn",
         ));
     }
-    let heap = &bytes[offset + heap_off as usize..record_end];
-    if fnv1a64(heap) != heap_checksum {
+    if fnv1a64(&record[layout.heap.clone()]) != layout.heap_checksum {
         return Err(store_err(
             "record payload checksum mismatch: store file is corrupt or torn",
         ));
     }
-    Ok(((meta_start, meta_end), heap_off as usize, heap_len as usize))
+    Ok(layout)
 }
 
-/// Parses record meta; `base` is the meta's absolute offset, so the
-/// returned structure range is absolute too.
-fn parse_meta(meta: &[u8], base: usize) -> Result<(String, u64, (usize, usize))> {
+/// A model record's parsed meta; `structure` is relative to the meta.
+struct ModelMeta {
+    model_id: String,
+    version: u64,
+    encoder_refs: Vec<u64>,
+    structure: Range<usize>,
+}
+
+fn parse_model_meta(meta: &[u8]) -> Result<ModelMeta> {
     let id_len = read_u64(meta, 0, "record model_id length")? as usize;
     let id_end = 8usize
         .checked_add(id_len)
-        .filter(|&e| e + 16 <= meta.len())
+        .filter(|&e| e <= meta.len().saturating_sub(24))
         .ok_or_else(|| store_err("record meta truncated inside model_id"))?;
     let model_id = std::str::from_utf8(&meta[8..id_end])
         .map_err(|_| store_err("record model_id is not valid UTF-8"))?
         .to_string();
     let version = read_u64(meta, id_end, "record version")?;
-    let structure_len = read_u64(meta, id_end + 8, "record structure length")? as usize;
-    let structure_start = id_end + 16;
-    if structure_start + structure_len != meta.len() {
+    let ref_count = read_u64(meta, id_end + 8, "record encoder count")? as usize;
+    let refs_start = id_end + 16;
+    let refs_end = ref_count
+        .checked_mul(8)
+        .and_then(|n| n.checked_add(refs_start))
+        .filter(|&e| e <= meta.len().saturating_sub(8))
+        .ok_or_else(|| store_err("record meta truncated inside encoder references"))?;
+    let encoder_refs = (refs_start..refs_end)
+        .step_by(8)
+        .map(|at| read_u64(meta, at, "record encoder reference"))
+        .collect::<Result<Vec<_>>>()?;
+    let structure_len = read_u64(meta, refs_end, "record structure length")? as usize;
+    let structure_start = refs_end + 8;
+    if structure_start.checked_add(structure_len) != Some(meta.len()) {
         return Err(store_err(
-            "record meta has trailing bytes after the structure stream",
+            "record meta length disagrees with its structure stream",
         ));
     }
-    Ok((
+    Ok(ModelMeta {
         model_id,
         version,
-        (
-            base + structure_start,
-            base + structure_start + structure_len,
-        ),
-    ))
+        encoder_refs,
+        structure: structure_start..meta.len(),
+    })
 }
 
 /// Writes the footer (index + trailer) at `record_end`, fsyncs, and
 /// trims any stale bytes past the new end of file.
-fn write_footer(file: &mut File, entries: &[StoreEntry], record_end: u64) -> Result<()> {
+fn write_footer(
+    file: &mut File,
+    entries: &[StoreEntry],
+    encoders: &[EncoderEntry],
+    record_end: u64,
+) -> Result<()> {
     let mut index = Vec::new();
     push_u64(&mut index, entries.len() as u64);
     for e in entries {
@@ -502,6 +839,12 @@ fn write_footer(file: &mut File, entries: &[StoreEntry], record_end: u64) -> Res
         push_u64(&mut index, e.version);
         push_u64(&mut index, e.offset);
         push_u64(&mut index, e.total_len);
+    }
+    push_u64(&mut index, encoders.len() as u64);
+    for e in encoders {
+        push_u64(&mut index, e.offset);
+        push_u64(&mut index, e.total_len);
+        push_u64(&mut index, e.fingerprint);
     }
     let mut trailer = Vec::with_capacity(TRAILER_LEN as usize);
     push_u64(&mut trailer, record_end);
@@ -521,15 +864,11 @@ fn write_footer(file: &mut File, entries: &[StoreEntry], record_end: u64) -> Res
 
 /// Reads and validates the footer. Errors if the trailer is missing,
 /// torn, or inconsistent — the caller then falls back to a record scan.
-fn read_footer(file: &mut File, file_len: u64) -> Result<(Vec<StoreEntry>, u64)> {
+fn read_footer(file: &mut File, file_len: u64) -> Result<StoreState> {
     if file_len < HEADER_LEN + TRAILER_LEN {
         return Err(store_err("fleet store too small to hold a footer"));
     }
-    let mut trailer = [0u8; TRAILER_LEN as usize];
-    file.seek(SeekFrom::Start(file_len - TRAILER_LEN))
-        .map_err(|e| io_err("seek", e))?;
-    file.read_exact(&mut trailer)
-        .map_err(|e| io_err("read", e))?;
+    let trailer = read_at(file, file_len - TRAILER_LEN, TRAILER_LEN)?;
     let index_off = read_u64(&trailer, 0, "trailer index offset")?;
     let index_len = read_u64(&trailer, 8, "trailer index length")?;
     let index_checksum = read_u64(&trailer, 16, "trailer index checksum")?;
@@ -540,17 +879,24 @@ fn read_footer(file: &mut File, file_len: u64) -> Result<(Vec<StoreEntry>, u64)>
     }
     if index_off < HEADER_LEN
         || index_off % 8 != 0
-        || index_off + index_len + TRAILER_LEN != file_len
+        || index_off
+            .checked_add(index_len)
+            .and_then(|n| n.checked_add(TRAILER_LEN))
+            != Some(file_len)
     {
         return Err(store_err("footer geometry inconsistent"));
     }
-    let mut index = vec![0u8; index_len as usize];
-    file.seek(SeekFrom::Start(index_off))
-        .map_err(|e| io_err("seek", e))?;
-    file.read_exact(&mut index).map_err(|e| io_err("read", e))?;
+    let index = read_at(file, index_off, index_len)?;
     if fnv1a64(&index) != index_checksum {
         return Err(store_err("footer index checksum mismatch"));
     }
+    let in_bounds = |offset: u64, total_len: u64| {
+        offset >= HEADER_LEN
+            && offset.is_multiple_of(8)
+            && offset
+                .checked_add(total_len)
+                .is_some_and(|end| end <= index_off)
+    };
     let count = read_u64(&index, 0, "index entry count")?;
     if count != entry_count {
         return Err(store_err("footer entry counts disagree"));
@@ -562,7 +908,7 @@ fn read_footer(file: &mut File, file_len: u64) -> Result<(Vec<StoreEntry>, u64)>
         pos += 8;
         let id_end = pos
             .checked_add(id_len)
-            .filter(|&e| e + 24 <= index.len())
+            .filter(|&e| e <= index.len().saturating_sub(24))
             .ok_or_else(|| store_err("footer index truncated"))?;
         let model_id = std::str::from_utf8(&index[pos..id_end])
             .map_err(|_| store_err("footer index model_id is not valid UTF-8"))?
@@ -572,7 +918,7 @@ fn read_footer(file: &mut File, file_len: u64) -> Result<(Vec<StoreEntry>, u64)>
         let offset = read_u64(&index, pos + 8, "index offset")?;
         let total_len = read_u64(&index, pos + 16, "index total_len")?;
         pos += 24;
-        if offset % 8 != 0 || offset + total_len > index_off {
+        if !in_bounds(offset, total_len) {
             return Err(store_err("footer index entry out of bounds"));
         }
         entries.push(StoreEntry {
@@ -582,52 +928,83 @@ fn read_footer(file: &mut File, file_len: u64) -> Result<(Vec<StoreEntry>, u64)>
             total_len,
         });
     }
+    let encoder_count = read_u64(&index, pos, "index encoder count")?;
+    pos += 8;
+    let mut encoders: Vec<EncoderEntry> = Vec::with_capacity(encoder_count.min(1 << 20) as usize);
+    for _ in 0..encoder_count {
+        let offset = read_u64(&index, pos, "index encoder offset")?;
+        let total_len = read_u64(&index, pos + 8, "index encoder total_len")?;
+        let fingerprint = read_u64(&index, pos + 16, "index encoder fingerprint")?;
+        pos += 24;
+        if !in_bounds(offset, total_len) || encoders.last().is_some_and(|e| e.offset >= offset) {
+            return Err(store_err(
+                "footer encoder entry out of bounds or out of order",
+            ));
+        }
+        encoders.push(EncoderEntry {
+            offset,
+            total_len,
+            fingerprint,
+            blob: Weak::new(),
+        });
+    }
     if pos != index.len() {
         return Err(store_err("footer index has trailing bytes"));
     }
-    Ok((entries, index_off))
+    Ok(StoreState::new(entries, encoders, index_off))
 }
 
 /// Torn-footer recovery: walk the self-delimiting records from the top
-/// of the file and keep the longest checksum-valid prefix.
-fn recover_by_scan(file: &mut File, file_len: u64) -> Result<(Vec<StoreEntry>, u64)> {
-    let mut bytes = vec![0u8; (file_len - HEADER_LEN) as usize];
-    file.seek(SeekFrom::Start(HEADER_LEN))
-        .map_err(|e| io_err("seek", e))?;
-    file.read_exact(&mut bytes).map_err(|e| io_err("read", e))?;
+/// of the file and keep the longest checksum-valid prefix. The prefix
+/// also ends at a model record that references an encoder record not
+/// already in it, so recovery never lists a model it cannot load.
+fn recover_by_scan(file: &mut File, file_len: u64) -> Result<StoreState> {
+    let bytes = read_at(file, HEADER_LEN, file_len - HEADER_LEN)?;
     let mut entries = Vec::new();
-    let mut pos = 0u64;
-    loop {
-        let remaining = bytes.len() as u64 - pos;
-        if remaining < RECORD_HEADER_LEN {
+    let mut encoders: Vec<EncoderEntry> = Vec::new();
+    let mut pos = 0usize;
+    while bytes.len() - pos >= RECORD_HEADER_LEN as usize {
+        let Ok(total_len) = read_u64(&bytes, pos + 8, "record total_len") else {
             break;
-        }
-        let total_len = match read_u64(&bytes, pos as usize + 8, "record total_len") {
-            Ok(v) => v,
-            Err(_) => break,
         };
-        if total_len < RECORD_HEADER_LEN || total_len > remaining {
+        if total_len < RECORD_HEADER_LEN || total_len > (bytes.len() - pos) as u64 {
             break;
         }
-        let parsed = validate_record(&bytes, pos as usize, total_len).and_then(|(meta, _, _)| {
-            parse_meta(&bytes[meta.0..meta.1], meta.0).map(|(id, version, _)| (id, version))
-        });
-        match parsed {
-            Ok((model_id, version)) => {
-                entries.push(StoreEntry {
-                    model_id,
-                    version,
-                    offset: HEADER_LEN + pos,
-                    total_len,
-                });
-                pos += align8(total_len);
+        let record = &bytes[pos..pos + total_len as usize];
+        // First invalid record: everything past here is a torn tail or
+        // stale footer bytes.
+        let Ok(layout) = verify_record(record, total_len) else {
+            break;
+        };
+        let offset = HEADER_LEN + pos as u64;
+        if layout.kind == KIND_ENCODER {
+            encoders.push(EncoderEntry {
+                offset,
+                total_len,
+                fingerprint: encoder_fingerprint(&record[layout.meta], &record[layout.heap]),
+                blob: Weak::new(),
+            });
+        } else {
+            let Ok(meta) = parse_model_meta(&record[layout.meta]) else {
+                break;
+            };
+            let resolves = meta
+                .encoder_refs
+                .iter()
+                .all(|at| encoders.binary_search_by_key(at, |e| e.offset).is_ok());
+            if !resolves {
+                break;
             }
-            // First invalid record: everything past here is a torn
-            // tail or stale footer bytes.
-            Err(_) => break,
+            entries.push(StoreEntry {
+                model_id: meta.model_id,
+                version: meta.version,
+                offset,
+                total_len,
+            });
         }
+        pos += total_len as usize;
     }
-    Ok((entries, HEADER_LEN + pos))
+    Ok(StoreState::new(entries, encoders, HEADER_LEN + pos as u64))
 }
 
 /// One resident model: a `(model_id, version)` pair plus its degrade
@@ -696,8 +1073,16 @@ struct FleetState {
     resident: HashMap<String, ResidentModel>,
     clock: u64,
     /// Swapped-out or evicted models still referenced by in-flight
-    /// requests; pruned lazily.
+    /// requests; pruned on every admission and eviction, so its length
+    /// stays bounded by the live snapshots.
     retiring: Vec<Weak<FleetModel>>,
+}
+
+impl FleetState {
+    /// Drops the retiring entries whose last snapshot is gone.
+    fn prune_retiring(&mut self) {
+        self.retiring.retain(|w| w.strong_count() > 0);
+    }
 }
 
 /// In-memory registry over a [`ModelStore`]: LRU residency with
@@ -742,7 +1127,7 @@ impl Fleet {
         // Load outside the lock: admission does disk IO + decode and
         // must not stall requests for models that are resident.
         let loaded = Arc::new(self.store.load_latest(model_id)?);
-        Ok(self.admit(loaded, false))
+        Ok(self.admit(loaded))
     }
 
     /// Re-reads the latest published version from the store and swaps
@@ -753,7 +1138,7 @@ impl Fleet {
     /// last snapshot drops.
     pub fn refresh(&self, model_id: &str) -> Result<Arc<FleetModel>> {
         let loaded = Arc::new(self.store.load_latest(model_id)?);
-        Ok(self.admit(loaded, true))
+        Ok(self.admit(loaded))
     }
 
     /// Pins (or unpins) a model, loading it if necessary. Pinned models
@@ -771,6 +1156,7 @@ impl Fleet {
     /// in-flight snapshot drops). Returns whether it was resident.
     pub fn evict(&self, model_id: &str) -> bool {
         let mut st = self.state.lock().unwrap();
+        st.prune_retiring();
         if let Some(r) = st.resident.remove(model_id) {
             st.retiring.push(Arc::downgrade(&r.model));
             true
@@ -800,7 +1186,7 @@ impl Fleet {
     /// requests.
     pub fn draining_count(&self) -> usize {
         let mut st = self.state.lock().unwrap();
-        st.retiring.retain(|w| w.strong_count() > 0);
+        st.prune_retiring();
         st.retiring.len()
     }
 
@@ -815,12 +1201,11 @@ impl Fleet {
     }
 
     /// Inserts `loaded` under the monotonic-version rule and runs LRU
-    /// eviction. `swap` marks an explicit refresh: equal-version
-    /// reloads keep the resident snapshot either way; an older store
-    /// version never replaces a newer resident one.
-    fn admit(&self, loaded: Arc<FleetModel>, swap: bool) -> Arc<FleetModel> {
-        let _ = swap;
+    /// eviction: an equal-version reload keeps the resident snapshot,
+    /// and an older store version never replaces a newer resident one.
+    fn admit(&self, loaded: Arc<FleetModel>) -> Arc<FleetModel> {
         let mut st = self.state.lock().unwrap();
+        st.prune_retiring();
         st.clock += 1;
         let now = st.clock;
         let chosen = match st.resident.get_mut(loaded.model_id.as_str()) {
@@ -879,7 +1264,8 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::OnlineHdConfig;
+    use crate::classifier::Classifier;
+    use crate::online::{OnlineHd, OnlineHdConfig};
     use crate::spec::ModelSpec;
     use linalg::{Matrix, Rng64};
 
@@ -971,7 +1357,8 @@ mod tests {
         let (x, y) = toy();
         let store = ModelStore::create(&path).unwrap();
         store.append("keep", 1, &[&fit(48, &x, &y)]).unwrap();
-        let keep_end = HEADER_LEN + align8(store.entries()[0].total_len);
+        let keep = store.entries()[0].clone();
+        let keep_end = keep.offset + keep.total_len;
         store.append("torn", 1, &[&fit(64, &x, &y)]).unwrap();
         // Simulate a crash mid-append: cut into the second record,
         // which also destroyed the old footer.
@@ -1082,10 +1469,60 @@ mod tests {
         assert!(Arc::ptr_eq(&again, &v2));
     }
 
+    /// The stored projection behind a pipeline's (primary) encoder.
+    fn projection_ptr(p: &Pipeline) -> *const f32 {
+        use crate::{CentroidHd, QuantizedBoostHd, QuantizedHd, QuantizedI8BoostHd, QuantizedI8Hd};
+        macro_rules! encoder_of {
+            ($($ty:ty),*) => {$(
+                if let Some(m) = p.downcast_ref::<$ty>() {
+                    return m.encoder().projection_t().unwrap().as_slice().as_ptr();
+                }
+            )*};
+        }
+        encoder_of!(
+            OnlineHd,
+            CentroidHd,
+            crate::BoostHd,
+            QuantizedHd,
+            QuantizedBoostHd,
+            QuantizedI8Hd,
+            QuantizedI8BoostHd
+        );
+        panic!("{} has no stored encoder", p.spec().kind_tag())
+    }
+
+    /// A fit plus its refit-free int8 and 1-bit siblings: one encoder,
+    /// three class memories.
+    fn ladder(x: &Matrix, y: &[usize]) -> Vec<Pipeline> {
+        let base = OnlineHdConfig {
+            dim: 64,
+            epochs: 2,
+            ..Default::default()
+        };
+        let full = Pipeline::fit(&ModelSpec::OnlineHd(base), x, y).unwrap();
+        let m = full.downcast_ref::<OnlineHd>().unwrap();
+        let int8 = Pipeline::from_model(
+            ModelSpec::QuantizedI8OnlineHd {
+                base,
+                refit_epochs: 0,
+            },
+            Box::new(m.quantize_i8()),
+        );
+        let binary = Pipeline::from_model(
+            ModelSpec::QuantizedOnlineHd {
+                base,
+                refit_epochs: 0,
+            },
+            Box::new(m.quantize()),
+        );
+        vec![full, int8, binary]
+    }
+
     /// Every persistable payload kind — dense f32, packed u64, and int8
     /// class matrices — must decode zero-copy out of the record blob and
     /// predict bit-identically to the fitted original, probabilities
-    /// included.
+    /// included. Models and ladder tiers built on one encoder must load
+    /// with one shared projection allocation.
     #[test]
     fn all_payload_kinds_serve_zero_copy_and_bit_identical() {
         use crate::{BoostHdConfig, CentroidHdConfig};
@@ -1141,33 +1578,362 @@ mod tests {
             },
         ];
         let (x, y) = toy();
+        let dir = tempdir("fleet-payload-kinds");
+        let store = ModelStore::create(dir.join("models.bhfs")).unwrap();
         for spec in specs {
             let tag = spec.kind_tag();
             let fitted =
                 Pipeline::fit(&spec, &x, &y).unwrap_or_else(|e| panic!("{tag} failed to fit: {e}"));
-            let (structure, heap) = fitted
+            // The class memory decodes zero-copy: the pipeline borrows its
+            // payload slices straight out of the record blob, so the
+            // blob's refcount rises past the test's own handle.
+            let (body, encoders) = fitted
                 .encode_store_parts()
                 .unwrap_or_else(|e| panic!("{tag} failed to encode: {e}"));
-            let record = encode_record(tag, 1, &structure, &heap);
-            let blob = Arc::new(Blob::from_bytes(&record));
-            let total_len = (RECORD_HEADER_LEN
-                + align8(24 + tag.len() as u64 + structure.len() as u64))
-                + heap.len() as u64;
-            let loaded = decode_record(Arc::clone(&blob), total_len)
-                .unwrap_or_else(|e| panic!("{tag} failed to decode: {e}"));
-            // Zero-copy: the decoded pipeline borrows its payload slices
-            // straight out of the record blob, so the blob's refcount
-            // rose past the test's own handle.
+            let encoders: Vec<SinusoidEncoder> = encoders
+                .iter()
+                .map(|enc| {
+                    let blob = Arc::new(Blob::from_bytes(&enc.heap));
+                    encoder_from_parts(&enc.structure, blob, 0, enc.heap.len()).unwrap()
+                })
+                .collect();
+            let blob = Arc::new(Blob::from_bytes(&body.heap));
+            let decoded = Pipeline::decode_store_parts(
+                &body.structure,
+                Arc::clone(&blob),
+                0,
+                body.heap.len(),
+                &encoders,
+            )
+            .unwrap_or_else(|e| panic!("{tag} failed to decode: {e}"));
             assert!(
                 Arc::strong_count(&blob) > 1,
                 "{tag} copied its payloads instead of borrowing the blob"
             );
             assert_eq!(
                 fitted.predict_batch_with_confidence(&x),
-                loaded.predict_batch_with_confidence(&x),
-                "{tag} predictions are not bit-identical after zero-copy load"
+                decoded.predict_batch_with_confidence(&x),
+                "{tag} predictions are not bit-identical after zero-copy decode"
+            );
+
+            // Through the store: two ids published from one fit share one
+            // encoder record and, once loaded, one projection allocation.
+            let (a, b) = (format!("{tag}-a"), format!("{tag}-b"));
+            store.append(&a, 1, &[&fitted]).unwrap();
+            store.append(&b, 1, &[&fitted]).unwrap();
+            let (la, lb) = (store.load(&a, 1).unwrap(), store.load(&b, 1).unwrap());
+            for loaded in [&la, &lb] {
+                assert_eq!(
+                    fitted.predict_batch_with_confidence(&x),
+                    loaded.primary().predict_batch_with_confidence(&x),
+                    "{tag} predictions are not bit-identical after a store load"
+                );
+            }
+            assert_eq!(
+                projection_ptr(la.primary()),
+                projection_ptr(lb.primary()),
+                "{tag} models built on one encoder hold two projections"
             );
         }
+
+        // The three tiers of one ladder share one encoder record and one
+        // projection allocation, and each predicts bit-identically.
+        let tiers = ladder(&x, &y);
+        let refs: Vec<&Pipeline> = tiers.iter().collect();
+        let before = record_end(&store);
+        store.append("ladder", 1, &refs).unwrap();
+        let loaded = store.load("ladder", 1).unwrap();
+        assert_eq!(loaded.tiers().len(), 3);
+        let shared = projection_ptr(loaded.tier(0));
+        for (tier, fitted) in loaded.tiers().iter().zip(&tiers) {
+            assert_eq!(
+                projection_ptr(tier),
+                shared,
+                "ladder tiers hold two projections"
+            );
+            assert_eq!(
+                tier.predict_batch_with_confidence(&x),
+                fitted.predict_batch_with_confidence(&x)
+            );
+        }
+        // One 2 × 64 projection + phases is written once, not per tier.
+        let tier_records: u64 = store
+            .entries()
+            .iter()
+            .filter(|e| e.model_id == "ladder")
+            .map(|e| e.total_len)
+            .sum();
+        let encoder_bytes = record_end(&store) - before - tier_records;
+        assert!(
+            encoder_bytes < 2 * (3 * 64 * 4 + RECORD_HEADER_LEN),
+            "ladder wrote {encoder_bytes} encoder bytes"
+        );
+    }
+
+    #[test]
+    fn models_sharing_an_encoder_write_it_once() {
+        let dir = tempdir("fleet-dedup");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let a = fit(64, &x, &y);
+        let b = fit(96, &x, &y);
+        let store = ModelStore::create(&path).unwrap();
+        store.append("first", 1, &[&a]).unwrap();
+        let one = record_end(&store);
+        for i in 0..5 {
+            store.append(&format!("copy{i}"), 1, &[&a]).unwrap();
+        }
+        let six = record_end(&store);
+        let model_record = store.entries()[0].total_len;
+        assert_eq!(
+            six - one,
+            5 * model_record,
+            "a repeat publish rewrote the encoder"
+        );
+        // A different encoder gets its own record; reopening keeps the
+        // dedup index, so a repeat after reopen still writes no encoder.
+        store.append("other", 1, &[&b]).unwrap();
+        let reopened = ModelStore::open(&path).unwrap();
+        assert_eq!(reopened.state.lock().unwrap().encoders.len(), 2);
+        let before = record_end(&reopened);
+        reopened.append("copy-after-reopen", 1, &[&a]).unwrap();
+        let after = record_end(&reopened);
+        let last = reopened.entries().last().unwrap().total_len;
+        assert_eq!(after - before, last);
+        assert_eq!(
+            reopened
+                .load_latest("copy-after-reopen")
+                .unwrap()
+                .primary()
+                .predict_batch_with_confidence(&x),
+            a.predict_batch_with_confidence(&x)
+        );
+    }
+
+    /// A crash anywhere inside an append that introduces a new encoder —
+    /// in the encoder record or in the model record after it — recovers
+    /// to the store as it was before that append.
+    #[test]
+    fn torn_append_introducing_an_encoder_recovers_to_prior_prefix() {
+        let dir = tempdir("fleet-torn-encoder");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let kept = fit(48, &x, &y);
+        let store = ModelStore::create(&path).unwrap();
+        store.append("keep", 1, &[&kept]).unwrap();
+        let keep = store.entries()[0].clone();
+        let prior_end = keep.offset + keep.total_len;
+        store.append("torn", 1, &[&fit(64, &x, &y)]).unwrap();
+        let torn = store.entries()[1].clone();
+        assert!(
+            torn.offset > prior_end,
+            "the append wrote no encoder record"
+        );
+        let full = std::fs::read(&path).unwrap();
+        let cuts = [
+            prior_end + 20,
+            (prior_end + torn.offset) / 2,
+            torn.offset,
+            torn.offset + 30,
+            torn.offset + torn.total_len - 8,
+        ];
+        for cut in cuts {
+            std::fs::write(&path, &full[..cut as usize]).unwrap();
+            let recovered = ModelStore::open(&path).unwrap();
+            assert_eq!(recovered.entries(), vec![keep.clone()], "cut at {cut}");
+            assert_eq!(
+                recovered
+                    .load("keep", 1)
+                    .unwrap()
+                    .primary()
+                    .predict_batch(&x),
+                kept.predict_batch(&x)
+            );
+            assert!(recovered.load("torn", 1).is_err());
+            // Still appendable, and the re-published model loads.
+            recovered.append("again", 2, &[&fit(32, &x, &y)]).unwrap();
+            let reopened = ModelStore::open(&path).unwrap();
+            assert_eq!(reopened.entries().len(), 2, "cut at {cut}");
+            reopened.load("again", 2).unwrap();
+        }
+    }
+
+    /// Recovery ends the valid prefix at a model record whose encoder
+    /// record is not in it: a torn or corrupt encoder record, or a
+    /// checksum-valid model record whose reference resolves to nothing.
+    #[test]
+    fn recovery_never_lists_a_model_whose_encoder_is_outside_the_prefix() {
+        let dir = tempdir("fleet-encoder-prefix");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let store = ModelStore::create(&path).unwrap();
+        store.append("a", 1, &[&fit(48, &x, &y)]).unwrap();
+        store.append("b", 1, &[&fit(64, &x, &y)]).unwrap();
+        let entries = store.entries();
+        let (a, b) = (entries[0].clone(), entries[1].clone());
+        let record_end = b.offset + b.total_len;
+        let full = std::fs::read(&path).unwrap();
+
+        // b's encoder record (between a and b) carries a flipped bit.
+        let mut bytes = full[..record_end as usize].to_vec();
+        let encoder_heap_byte = (a.offset + a.total_len + b.offset) / 2;
+        bytes[encoder_heap_byte as usize] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(ModelStore::open(&path).unwrap().entries(), vec![a.clone()]);
+
+        // b's model record is intact but references an offset that holds
+        // no encoder record (its own); its meta checksum is patched up.
+        let mut bytes = full[..record_end as usize].to_vec();
+        let meta_at = (b.offset + RECORD_HEADER_LEN) as usize;
+        let ref_at = meta_at + 8 + "b".len() + 16;
+        bytes[ref_at..ref_at + 8].copy_from_slice(&b.offset.to_le_bytes());
+        let meta_len = read_u64(&bytes, b.offset as usize + 16, "meta_len").unwrap() as usize;
+        let checksum = fnv1a64(&bytes[meta_at..meta_at + meta_len]);
+        let checksum_at = b.offset as usize + 32;
+        bytes[checksum_at..checksum_at + 8].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let recovered = ModelStore::open(&path).unwrap();
+        assert_eq!(recovered.entries(), vec![a]);
+        recovered.load("a", 1).unwrap();
+    }
+
+    #[test]
+    fn flipped_bit_in_a_shared_encoder_fails_every_model_that_uses_it() {
+        let dir = tempdir("fleet-encoder-bitflip");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let model = fit(48, &x, &y);
+        let store = ModelStore::create(&path).unwrap();
+        let ids = ["a", "b", "c"];
+        for id in ids {
+            store.append(id, 1, &[&model]).unwrap();
+        }
+        // The one encoder record sits between the header and "a".
+        let first = store.entries()[0].offset;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[(first - 16) as usize] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let reopened = ModelStore::open(&path).unwrap();
+        for id in ids {
+            let err = reopened.load(id, 1).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("model '{id}'"))
+                    && err.contains("encoder record")
+                    && err.contains("checksum"),
+                "unexpected error: {err}"
+            );
+        }
+    }
+
+    /// Bit-flips injected into one loaded model's encoder promote that
+    /// model's projection to a private copy; every other model built on
+    /// the same encoder record keeps predicting bit-identically.
+    #[test]
+    fn encoder_bitflips_in_one_model_leave_its_sharers_bit_identical() {
+        let dir = tempdir("fleet-encoder-cow");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let model = fit(64, &x, &y);
+        let store = ModelStore::create(&path).unwrap();
+        for id in ["a", "b"] {
+            store.append(id, 1, &[&model]).unwrap();
+        }
+        let fleet = Fleet::new(store, FleetConfig::default());
+        let (a, b) = (fleet.get("a").unwrap(), fleet.get("b").unwrap());
+        let shared = projection_ptr(b.primary());
+        assert_eq!(projection_ptr(a.primary()), shared);
+
+        let resident = a.primary().downcast_ref::<OnlineHd>().unwrap();
+        let mut projection_t = resident.encoder().projection_t().unwrap().clone();
+        assert!(projection_t.is_shared());
+        let mut rng = Rng64::seed_from(11);
+        let report = faults::flip_bits_in(projection_t.as_mut_slice(), 0.05, &mut rng);
+        assert!(report.flipped > 0);
+        assert!(
+            !projection_t.is_shared(),
+            "the flip wrote through the shared blob"
+        );
+        let encoder = SinusoidEncoder::from_parts_transposed(
+            projection_t,
+            resident.encoder().bias().to_vec(),
+        )
+        .unwrap();
+        let corrupted = Pipeline::from_model(
+            a.primary().spec().clone(),
+            Box::new(OnlineHd::from_parts(
+                encoder,
+                resident.class_hypervectors().clone(),
+                Classifier::num_classes(resident),
+                *resident.config(),
+            )),
+        );
+        assert_ne!(
+            corrupted.predict_batch_with_confidence(&x),
+            model.predict_batch_with_confidence(&x)
+        );
+        for sharer in [&a, &b, &fleet.get("b").unwrap()] {
+            assert_eq!(projection_ptr(sharer.primary()), shared);
+            assert_eq!(
+                sharer.primary().predict_batch_with_confidence(&x),
+                model.predict_batch_with_confidence(&x)
+            );
+        }
+    }
+
+    /// Any single corrupted byte, in a record or in the footer, yields an
+    /// error or a loadable prefix — never a panic.
+    #[test]
+    fn corrupting_any_byte_never_panics_on_open_or_load() {
+        let dir = tempdir("fleet-byte-mutation");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let store = ModelStore::create(&path).unwrap();
+        store.append("a", 1, &[&fit(16, &x, &y)]).unwrap();
+        store
+            .append("b", 1, &[&fit(16, &x, &y), &fit(24, &x, &y)])
+            .unwrap();
+        let full = std::fs::read(&path).unwrap();
+        for i in 0..full.len() {
+            let mut bytes = full.clone();
+            bytes[i] ^= 0xA5;
+            std::fs::write(&path, &bytes).unwrap();
+            if let Ok(store) = ModelStore::open(&path) {
+                for entry in store.entries() {
+                    let _ = store.load_record(&entry);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn old_store_versions_are_rejected_with_a_rebuild_hint() {
+        let dir = tempdir("fleet-v1");
+        let path = dir.join("models.bhfs");
+        ModelStore::create(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4] = 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = ModelStore::open(&path).err().unwrap().to_string();
+        assert!(
+            err.contains("version 1") && err.contains("rebuild"),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn retiring_list_stays_bounded_without_in_flight_snapshots() {
+        let dir = tempdir("fleet-retiring");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let store = ModelStore::create(&path).unwrap();
+        store.append("m", 1, &[&fit(32, &x, &y)]).unwrap();
+        let fleet = Fleet::new(store, FleetConfig::default());
+        for _ in 0..10_000 {
+            fleet.get("m").unwrap();
+            assert!(fleet.evict("m"));
+        }
+        assert!(fleet.state.lock().unwrap().retiring.len() <= 1);
+        assert_eq!(fleet.draining_count(), 0);
     }
 
     #[test]
@@ -1178,6 +1944,11 @@ mod tests {
         let fleet = Fleet::new(store, FleetConfig::default());
         let err = fleet.get("ghost").unwrap_err().to_string();
         assert!(err.contains("ghost"), "unexpected error: {err}");
+    }
+
+    /// End of the record region (excludes the footer).
+    fn record_end(store: &ModelStore) -> u64 {
+        store.state.lock().unwrap().record_end
     }
 
     fn tempdir(tag: &str) -> PathBuf {

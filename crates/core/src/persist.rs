@@ -23,9 +23,18 @@
 //! [`Writer::new_with_heap`]): every length-prefixed array body moves to a
 //! separate 8-byte-aligned payload heap and the structure stream records
 //! its heap offset instead. The fleet model store persists records in
-//! that split so the bulk payloads (f32 projections and class matrices,
-//! packed sign words, int8 grids) can be served zero-copy out of a loaded
-//! blob; plain `.bhd` file blobs always use the inline layout above.
+//! that split so the bulk payloads (class matrices, packed sign words,
+//! int8 grids) can be served zero-copy out of a loaded blob; plain `.bhd`
+//! file blobs always use the inline layout above. A heap-mode stream never
+//! holds a stored projection: it writes an encoder *reference*
+//!
+//! ```text
+//! encoder  := ref:u64(=u64::MAX-1) index:u64   (heap mode only)
+//! ```
+//!
+//! and the writer hands the encoder itself out separately
+//! ([`Writer::into_parts`]), so the store can keep one encoder record
+//! that every model and ladder tier built on that encoder shares.
 //!
 //! Version history: **v1** stored only the dense-f32 models (kinds 1–2);
 //! **v2** adds the bitpacked inference models (kinds 3–4); **v3** adds the
@@ -91,12 +100,11 @@ const KIND_QUANT_I8_BOOST: u8 = 7;
 /// `u64::MAX` rows, and v1–v3 readers fail loudly on it).
 const REMAT_SENTINEL: u64 = u64::MAX;
 
-/// Row-count sentinel marking a stored projection serialized as its F×D
-/// *transpose* — the layout the encoder actually holds in memory. Only
-/// heap-mode streams (the fleet model store) emit it, so plain BHD1 file
-/// blobs stay byte-identical to v4; the transpose round trip is an exact
-/// permutation, so either layout reloads to bit-identical encodings.
-const STORED_T_SENTINEL: u64 = u64::MAX - 1;
+/// Row-count sentinel marking a reference to a stored encoder kept
+/// outside the stream (the `index`-th encoder of [`Writer::into_parts`]).
+/// Only heap-mode streams (the fleet model store) emit it, so plain BHD1
+/// file blobs stay byte-identical to v4.
+const ENCODER_REF_SENTINEL: u64 = u64::MAX - 1;
 
 fn persist_err(reason: impl Into<String>) -> BoostHdError {
     BoostHdError::DataMismatch {
@@ -115,11 +123,26 @@ fn persist_err(reason: impl Into<String>) -> BoostHdError {
 ///   structure stream records its heap byte offset (`u64`) where the body
 ///   would sit. The fleet model store uses this split: the structure
 ///   stream is decoded normally while the bulk payloads are served
-///   zero-copy straight out of the loaded blob.
+///   zero-copy straight out of the loaded blob. Stored encoders are not
+///   written into the stream at all; it records an index into the
+///   encoder list [`Writer::into_parts`] returns.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
     heap: Option<Vec<u8>>,
+    /// Heap mode: the stored encoders the stream references, in index
+    /// order, each serialized as an encoder-record body.
+    encoders: Vec<RecordParts>,
+}
+
+/// One heap-mode body: a structure stream plus the payload heap its
+/// array offsets point into.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecordParts {
+    /// Scalars, shapes, and heap offsets.
+    pub structure: Vec<u8>,
+    /// Array bodies at 8-aligned offsets; its length is a multiple of 8.
+    pub heap: Vec<u8>,
 }
 
 impl Writer {
@@ -131,8 +154,8 @@ impl Writer {
     /// Creates an empty heap-mode writer (see the type docs).
     pub fn new_with_heap() -> Self {
         Self {
-            buf: Vec::new(),
             heap: Some(Vec::new()),
+            ..Self::default()
         }
     }
 
@@ -147,12 +170,22 @@ impl Writer {
         self.buf
     }
 
-    /// Finishes a heap-mode writer, returning `(structure, heap)`. The
-    /// heap half must land at an 8-byte-aligned offset of whatever record
-    /// it is embedded in, so the recorded array offsets stay aligned for
-    /// zero-copy reinterpretation.
-    pub fn into_parts(self) -> (Vec<u8>, Vec<u8>) {
-        (self.buf, self.heap.unwrap_or_default())
+    /// Finishes a heap-mode writer, returning the body plus the stored
+    /// encoders its encoder references index, each serialized as the
+    /// transposed projection and phase vector. Each heap must land at
+    /// an 8-byte-aligned offset of whatever record it is embedded in, so
+    /// the recorded array offsets stay aligned for zero-copy
+    /// reinterpretation; heaps are padded to a multiple of 8 so records
+    /// that embed them stay 8-aligned end to end.
+    pub fn into_parts(mut self) -> (RecordParts, Vec<RecordParts>) {
+        if self.heap.is_some() {
+            self.align_heap();
+        }
+        let body = RecordParts {
+            structure: self.buf,
+            heap: self.heap.unwrap_or_default(),
+        };
+        (body, self.encoders)
     }
 
     /// Pads the heap to an 8-byte boundary and returns the write offset.
@@ -250,6 +283,7 @@ impl Writer {
         if self.heap.is_some() {
             let off = self.align_heap();
             let heap = self.heap.as_mut().expect("heap-mode writer");
+            heap.reserve(m.as_slice().len() * 4);
             for &x in m.as_slice() {
                 heap.extend_from_slice(&x.to_le_bytes());
             }
@@ -278,12 +312,14 @@ struct HeapSource {
 /// streams written by a heap-mode [`Writer`]: array reads resolve their
 /// `u64` heap offsets against a reference-counted blob and — for the bulk
 /// containers (matrices, packed words, int8 grids) — hand back zero-copy
-/// views borrowing the blob instead of copied allocations.
+/// views borrowing the blob instead of copied allocations. Encoder
+/// references resolve against the caller's already-decoded encoders.
 #[derive(Debug)]
 pub struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
     heap: Option<HeapSource>,
+    encoders: &'a [SinusoidEncoder],
 }
 
 impl<'a> Reader<'a> {
@@ -293,13 +329,16 @@ impl<'a> Reader<'a> {
             data,
             pos: 0,
             heap: None,
+            encoders: &[],
         }
     }
 
     /// Wraps a structure stream plus the blob window holding its payload
     /// heap. `heap_base` must be 8-byte aligned within the blob (the
     /// store's record layout guarantees this), or every array view will
-    /// fail alignment validation.
+    /// fail alignment validation. The stream's `index`-th encoder
+    /// reference decodes to a clone of `encoders[index]`, which shares
+    /// its projection storage.
     ///
     /// # Errors
     ///
@@ -309,6 +348,7 @@ impl<'a> Reader<'a> {
         blob: Arc<Blob>,
         heap_base: usize,
         heap_len: usize,
+        encoders: &'a [SinusoidEncoder],
     ) -> Result<Self> {
         if heap_base
             .checked_add(heap_len)
@@ -327,6 +367,7 @@ impl<'a> Reader<'a> {
                 base: heap_base,
                 len: heap_len,
             }),
+            encoders,
         })
     }
 
@@ -662,18 +703,50 @@ fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
             w.put_u64(spec.seed);
         }
         None if w.has_heap() => {
-            // Heap mode persists the F×D transpose the encoder actually
-            // holds, so a shared read borrows the projection out of the
-            // blob with no transpose pass (and no allocation).
-            w.put_u64(STORED_T_SENTINEL);
-            w.put_matrix(enc.projection_t().expect("stored encoder has projection"));
-            w.put_f32_slice(enc.bias());
+            // Heap mode keeps the projection out of the record: the store
+            // writes each distinct encoder once and models reference it.
+            w.put_u64(ENCODER_REF_SENTINEL);
+            w.put_u64(w.encoders.len() as u64);
+            w.encoders.push(encoder_parts(enc));
         }
         None => {
             w.put_matrix(&enc.projection_matrix());
             w.put_f32_slice(enc.bias());
         }
     }
+}
+
+/// Serializes a stored encoder as an encoder-record body: the F×D
+/// transpose the encoder holds in memory, then its phase vector, both in
+/// the heap, so a shared read borrows the projection with no transpose
+/// pass and no allocation.
+fn encoder_parts(enc: &SinusoidEncoder) -> RecordParts {
+    let mut w = Writer::new_with_heap();
+    w.put_matrix(enc.projection_t().expect("stored encoder has projection"));
+    w.put_f32_slice(enc.bias());
+    w.into_parts().0
+}
+
+/// Decodes an encoder-record body written by [`Writer::into_parts`]. The
+/// projection is a zero-copy view into `blob`, so every encoder decoded
+/// from one blob shares one projection allocation.
+///
+/// # Errors
+///
+/// Fails on truncated or inconsistent bodies.
+pub(crate) fn encoder_from_parts(
+    structure: &[u8],
+    blob: Arc<Blob>,
+    heap_base: usize,
+    heap_len: usize,
+) -> Result<SinusoidEncoder> {
+    let mut r = Reader::new_shared(structure, blob, heap_base, heap_len, &[])?;
+    let projection_t = r.get_matrix()?;
+    let bias = r.get_f32_vec()?;
+    if !r.is_exhausted() {
+        return Err(persist_err("trailing bytes after encoder record structure"));
+    }
+    SinusoidEncoder::from_parts_transposed(projection_t, bias).map_err(BoostHdError::from)
 }
 
 fn get_encoder(r: &mut Reader<'_>, version: u8) -> Result<SinusoidEncoder> {
@@ -692,16 +765,14 @@ fn get_encoder(r: &mut Reader<'_>, version: u8) -> Result<SinusoidEncoder> {
         };
         return SinusoidEncoder::from_remat_spec(spec).map_err(BoostHdError::from);
     }
-    if rows == STORED_T_SENTINEL {
-        if version < 4 {
-            return Err(persist_err(format!(
-                "transposed stored encoder requires blob version 4, got {version}"
-            )));
-        }
-        let projection_t = r.get_matrix()?;
-        let bias = r.get_f32_vec()?;
-        return SinusoidEncoder::from_parts_transposed(projection_t, bias)
-            .map_err(BoostHdError::from);
+    if rows == ENCODER_REF_SENTINEL {
+        let index = r.get_len()?;
+        return r.encoders.get(index).cloned().ok_or_else(|| {
+            persist_err(format!(
+                "encoder reference {index} is outside the {} encoder(s) supplied with the stream",
+                r.encoders.len()
+            ))
+        });
     }
     // Stored projection: `rows` was the matrix row count — finish reading
     // the v1-layout matrix in place.
@@ -1811,9 +1882,11 @@ mod tests {
         w.put_u64_slice(&[10, 20]);
         w.put_matrix(&m);
         w.put_packed_matrix(&packed);
-        let (structure, heap) = w.into_parts();
-        let blob = Arc::new(Blob::from_bytes(&heap));
-        let mut r = Reader::new_shared(&structure, blob, 0, heap.len()).unwrap();
+        let (body, encoders) = w.into_parts();
+        assert!(encoders.is_empty());
+        assert_eq!(body.heap.len() % 8, 0, "heap must be 8-padded");
+        let blob = Arc::new(Blob::from_bytes(&body.heap));
+        let mut r = Reader::new_shared(&body.structure, blob, 0, body.heap.len(), &[]).unwrap();
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_f32_vec().unwrap(), vec![1.5, -2.5, 3.5]);
         assert_eq!(r.get_i8_vec().unwrap(), vec![-3, 0, 5]);
@@ -1838,14 +1911,55 @@ mod tests {
         let model = OnlineHd::fit(&config, &x, &y).unwrap();
         let mut w = Writer::new_with_heap();
         model.encode_into(&mut w);
-        let (structure, heap) = w.into_parts();
-        let blob = Arc::new(Blob::from_bytes(&heap));
-        let mut r = Reader::new_shared(&structure, blob, 0, heap.len()).unwrap();
+        let (body, encoders) = w.into_parts();
+        // The projection travels outside the body, referenced by index.
+        assert_eq!(encoders.len(), 1);
+        assert!(body.heap.len() < 96 * 4 * 4, "body heap holds a projection");
+        let encoders = shared_encoders(&encoders);
+        let blob = Arc::new(Blob::from_bytes(&body.heap));
+        let mut r =
+            Reader::new_shared(&body.structure, blob, 0, body.heap.len(), &encoders).unwrap();
         let restored = OnlineHd::decode_from(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(model.scores_batch(&x), restored.scores_batch(&x));
         assert!(restored.class_hypervectors().is_shared());
-        assert!(restored.encoder().projection_t().unwrap().is_shared());
+        let projection = restored.encoder().projection_t().unwrap();
+        assert!(projection.is_shared());
+        assert_eq!(
+            projection.as_slice().as_ptr(),
+            encoders[0].projection_t().unwrap().as_slice().as_ptr(),
+            "the decoded encoder must share the supplied projection"
+        );
+    }
+
+    #[test]
+    fn encoder_references_resolve_only_against_supplied_encoders() {
+        let (x, y) = toy();
+        let config = OnlineHdConfig {
+            dim: 32,
+            epochs: 2,
+            ..Default::default()
+        };
+        let model = OnlineHd::fit(&config, &x, &y).unwrap();
+        let mut w = Writer::new_with_heap();
+        model.encode_into(&mut w);
+        let (body, _) = w.into_parts();
+        let blob = Arc::new(Blob::from_bytes(&body.heap));
+        let mut r = Reader::new_shared(&body.structure, blob, 0, body.heap.len(), &[]).unwrap();
+        let err = OnlineHd::decode_from(&mut r).unwrap_err().to_string();
+        assert!(err.contains("encoder reference 0"), "{err}");
+    }
+
+    /// Decodes each encoder body zero-copy out of its own blob, as the
+    /// fleet store does with encoder records.
+    fn shared_encoders(parts: &[RecordParts]) -> Vec<SinusoidEncoder> {
+        parts
+            .iter()
+            .map(|p| {
+                let blob = Arc::new(Blob::from_bytes(&p.heap));
+                encoder_from_parts(&p.structure, blob, 0, p.heap.len()).unwrap()
+            })
+            .collect()
     }
 
     #[test]
@@ -1859,9 +1973,11 @@ mod tests {
         let model = OnlineHd::fit(&config, &x, &y).unwrap().quantize_i8();
         let mut w = Writer::new_with_heap();
         model.encode_into(&mut w);
-        let (structure, heap) = w.into_parts();
-        let blob = Arc::new(Blob::from_bytes(&heap));
-        let mut r = Reader::new_shared(&structure, blob, 0, heap.len()).unwrap();
+        let (body, encoders) = w.into_parts();
+        let encoders = shared_encoders(&encoders);
+        let blob = Arc::new(Blob::from_bytes(&body.heap));
+        let mut r =
+            Reader::new_shared(&body.structure, blob, 0, body.heap.len(), &encoders).unwrap();
         let restored = QuantizedI8Hd::decode_from(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(model.scores_batch(&x), restored.scores_batch(&x));

@@ -52,11 +52,12 @@ use crate::centroid::CentroidHd;
 use crate::classifier::{argmax, predict_batch_chunked, Classifier};
 use crate::error::{BoostHdError, Result};
 use crate::online::OnlineHd;
-use crate::persist::{Reader, Writer};
+use crate::persist::{Reader, RecordParts, Writer};
 use crate::quantized::{QuantizedBoostHd, QuantizedHd};
 use crate::quantized_i8::{QuantizedI8BoostHd, QuantizedI8Hd};
 use crate::spec::{BaselineSpec, ModelSpec};
 use faults::BitflipReport;
+use hdc::encoder::SinusoidEncoder;
 use linalg::autotune::{Tuning, TuningSource};
 use linalg::{Blob, Matrix, Rng64};
 use std::sync::Arc;
@@ -712,19 +713,22 @@ impl Pipeline {
         Self::from_bytes(&bytes)
     }
 
-    /// Serializes the pipeline for a fleet-store record as
-    /// `(structure, heap)`: the structure stream holds the payload kind,
-    /// abstention threshold, spec TOML, and the model's scalar skeleton,
-    /// while every bulk array (projections, class matrices, packed words,
-    /// int8 grids) lands in the 8-byte-aligned payload heap at an offset
-    /// the structure stream records. [`Pipeline::decode_store_parts`]
-    /// then serves those arrays zero-copy out of the loaded record blob.
+    /// Serializes the pipeline for a fleet-store model record, returning
+    /// the record body and the stored encoders it references. The body's
+    /// structure stream holds the payload kind, abstention threshold, spec
+    /// TOML, and the model's scalar skeleton, while every bulk class-memory
+    /// array (class matrices, packed words, int8 grids) lands in the
+    /// 8-byte-aligned payload heap at an offset the structure stream
+    /// records. Each stored encoder appears in the stream only as an index
+    /// into the returned encoder list, so the store can write it once and
+    /// share it. [`Pipeline::decode_store_parts`] serves the heap arrays
+    /// zero-copy out of the loaded record blob.
     ///
     /// # Errors
     ///
     /// Returns [`BoostHdError::InvalidConfig`] for families without a
     /// binary codec (the classical baselines).
-    pub(crate) fn encode_store_parts(&self) -> Result<(Vec<u8>, Vec<u8>)> {
+    pub(crate) fn encode_store_parts(&self) -> Result<(RecordParts, Vec<RecordParts>)> {
         let kind = self.model.payload_kind();
         if kind == PayloadKind::Unsupported {
             return Err(BoostHdError::InvalidConfig {
@@ -747,9 +751,11 @@ impl Pipeline {
     }
 
     /// Rebuilds a pipeline from a fleet-store record: `structure` is the
-    /// stream [`Pipeline::encode_store_parts`] produced and
-    /// `blob[heap_base..heap_base + heap_len]` its payload heap. The
-    /// decoded model's bulk arrays stay zero-copy views into `blob` (kept
+    /// stream [`Pipeline::encode_store_parts`] produced,
+    /// `blob[heap_base..heap_base + heap_len]` its payload heap, and
+    /// `encoders` the decoded encoders its references index, in order.
+    /// The decoded model's bulk arrays stay zero-copy views into `blob`,
+    /// and its encoders share their projections with `encoders` (both kept
     /// alive by reference counting) until something mutates them.
     ///
     /// # Errors
@@ -762,8 +768,9 @@ impl Pipeline {
         blob: Arc<Blob>,
         heap_base: usize,
         heap_len: usize,
+        encoders: &[SinusoidEncoder],
     ) -> Result<Self> {
-        let mut r = Reader::new_shared(structure, blob, heap_base, heap_len)?;
+        let mut r = Reader::new_shared(structure, blob, heap_base, heap_len, encoders)?;
         let kind = PayloadKind::from_tag(r.get_u8()?)?;
         let abstain_threshold = r.get_f32()?;
         let spec_len = r.get_len()?;

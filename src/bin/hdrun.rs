@@ -668,7 +668,8 @@ fn cmd_fleet_add(
 }
 
 /// `hdrun fleet list`: print every `(model, version)` in the store with
-/// its tier count and on-disk footprint.
+/// its tier count and the bytes of its model records (the encoder records
+/// they share are written once per encoder and not counted here).
 fn cmd_fleet_list(store_path: &str) -> Result<(), Box<dyn Error>> {
     let store = ModelStore::open(store_path)?;
     let entries = store.entries();
