@@ -7,7 +7,7 @@
 //! Run with `cargo bench --bench throughput`.
 
 use boosthd::classifier::predict_batch_chunked;
-use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig, Pipeline};
+use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig, Pipeline, Precision};
 use criterion::Criterion;
 use linalg::{Matrix, Rng64};
 
@@ -43,7 +43,7 @@ fn bench_row_vs_batch(c: &mut Criterion) {
     .downcast_ref::<OnlineHd>()
     .expect("spec-built OnlineHD")
     .clone();
-    let packed = model.quantize();
+    let packed = model.with_precision(Precision::Binary).unwrap();
 
     let mut group = c.benchmark_group(format!("predict_{ROWS}rows_d{DIM}_f{FEATURES}"));
     group.sample_size(10);

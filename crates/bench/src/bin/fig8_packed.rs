@@ -16,7 +16,7 @@
 //! Usage: `fig8_packed [--runs N] [--quick]` (trials per point; default 30).
 
 use boosthd::parallel::default_threads;
-use boosthd::{BoostHd, ModelSpec, QuantizedBoostHd};
+use boosthd::{BoostHd, BoostHdConfig, ModelSpec, Precision};
 use boosthd_bench::{
     ensure_registry, parse_common_args, prepare_split, ModelKind, DEFAULT_DIM_TOTAL,
 };
@@ -52,10 +52,11 @@ fn main() {
             dense_spec,
             // Same base config and seed: the dense fit is bit-identical,
             // then frozen with 5 quantization-aware refit epochs.
-            ModelSpec::QuantizedBoostHd {
-                base: base_config,
+            ModelSpec::BoostHd(BoostHdConfig {
+                precision: Precision::Binary,
                 refit_epochs: 5,
-            },
+                ..base_config
+            }),
         ],
         scenarios: vec![ScenarioSpec::new(FaultModel::BitFlip, steps.clone()).with_seed(0xB17F)],
     };
@@ -75,11 +76,9 @@ fn main() {
         .downcast_ref::<BoostHd>()
         .expect("dense ensemble");
     let packed = campaign.base_models()[1]
-        .downcast_ref::<QuantizedBoostHd>()
+        .downcast_ref::<BoostHd>()
         .expect("bitpacked ensemble");
-    let f32_bytes: usize = (0..boost.num_learners())
-        .map(|i| boost.learner_class_hypervectors(i).as_slice().len() * 4)
-        .sum();
+    let f32_bytes = boost.class_storage_bytes();
     eprintln!(
         "[fig8_packed] class memory: f32 {f32_bytes} B vs packed {} B ({}x smaller)",
         packed.class_storage_bytes(),

@@ -11,7 +11,7 @@
 //!
 //! * `score_rows_per_sec` — the class-memory sweep alone, over queries
 //!   prepared once in each tier's native representation (dense encoded
-//!   f32, pre-quantized int8 [`boosthd::QuantizedI8Query`], pre-packed
+//!   f32, pre-quantized int8 [`boosthd::memory::I8Query`], pre-packed
 //!   1-bit [`PackedHv`]). Encode cost is excluded because all tiers share
 //!   it, and query preparation is excluded because it is a once-per-query
 //!   cost the sweep amortizes across however many class memories the
@@ -30,8 +30,9 @@
 
 use std::time::Instant;
 
+use boosthd::memory::I8Query;
 use boosthd::parallel::default_threads;
-use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig, QuantizedI8Query};
+use boosthd::{ClassMemory, Classifier, ModelSpec, OnlineHd, OnlineHdConfig, Precision};
 use boosthd_bench::{fit_spec, parse_common_args, prepare_split};
 use eval_harness::metrics::accuracy;
 use hdc::backend::PackedHv;
@@ -93,11 +94,17 @@ fn run_config(
     .clone();
     let refit = 2;
     let i8_model = model
-        .quantize_i8_with_refit(train.features(), train.labels(), refit)
+        .with_precision_refit(Precision::Int8, train.features(), train.labels(), refit)
         .expect("int8 refit");
     let packed = model
-        .quantize_with_refit(train.features(), train.labels(), refit)
+        .with_precision_refit(Precision::Binary, train.features(), train.labels(), refit)
         .expect("1-bit refit");
+    let ClassMemory::Int8(i8_rows) = i8_model.class_memory() else {
+        unreachable!("int8 models store int8 rows");
+    };
+    let ClassMemory::Packed(packed_bits) = packed.class_memory() else {
+        unreachable!("1-bit models store packed words");
+    };
 
     // Replicate the test split into a serving-sized query batch, then
     // prepare each tier's query representation once (encode, quantize,
@@ -110,8 +117,8 @@ fn run_config(
     let reps = if quick { 1 } else { 5 };
     let mut encoded = Matrix::zeros(0, 0);
     model.encoder().encode_batch_into(&queries, &mut encoded);
-    let i8_queries: Vec<QuantizedI8Query> = (0..rows)
-        .map(|r| QuantizedI8Query::from_encoded(encoded.row(r)))
+    let i8_queries: Vec<I8Query> = (0..rows)
+        .map(|r| I8Query::from_encoded(encoded.row(r)))
         .collect();
     let packed_queries: Vec<PackedHv> = (0..rows)
         .map(|r| PackedHv::from_signs(encoded.row(r)))
@@ -146,7 +153,7 @@ fn run_config(
     let mut i8_scores = vec![0.0f32; model.class_hypervectors().rows()];
     let score_i8 = measure(rows, reps, || {
         for q in &i8_queries {
-            i8_model.scores_quantized_into(q, &mut i8_scores);
+            i8_rows.scores_query_into(q, &mut i8_scores);
             std::hint::black_box(&mut i8_scores);
         }
     });
@@ -163,7 +170,7 @@ fn run_config(
 
     let score_1bit = measure(rows, reps, || {
         for q in &packed_queries {
-            std::hint::black_box(packed.scores_packed(q));
+            std::hint::black_box(packed_bits.similarities(q));
         }
     });
     let predict_1bit = measure(rows, reps, || {

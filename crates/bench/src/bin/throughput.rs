@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use boosthd::parallel::default_threads;
-use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig};
+use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig, Precision};
 use boosthd_bench::{fit_spec, parse_common_args, prepare_split};
 use boosthd_serve::{EngineConfig, InferenceEngine};
 use linalg::Matrix;
@@ -88,7 +88,7 @@ fn run_config(
     .downcast_ref::<OnlineHd>()
     .expect("spec-built OnlineHD")
     .clone();
-    let packed = model.quantize();
+    let packed = model.with_precision(Precision::Binary).expect("f32 model");
 
     // Replicate the test split into a serving-sized query batch.
     let target_rows = if quick { 64 } else { 768 };

@@ -29,14 +29,23 @@
 //! therefore matches a single OnlineHD of the same `D_total` (plus `k`
 //! dot products per learner), which is what makes the Table II latencies
 //! land next to OnlineHD's.
+//!
+//! Each weak learner owns one [`ClassMemory`]; [`BoostHdConfig::precision`]
+//! freezes all of them at int8 or 1 bit after training (see
+//! [`crate::memory`]). Inference is the same vote loop at every precision:
+//! encode once at full `D`, let each learner score its segment against its
+//! memory, and sum the `α`-weighted votes.
+
+use std::ops::Range;
 
 use crate::classifier::{argmax, argmax_rows, predict_batch_chunked, Classifier};
 use crate::error::{BoostHdError, Result};
+use crate::memory::{self, ClassMemory, Precision};
 use crate::online::{
-    normalize_rows, normalize_weights, scores_unit_classes, scores_unit_classes_batch,
-    train_class_hvs, validate_training_inputs,
+    normalize_rows, normalize_weights, scores_unit_classes_batch, train_class_hvs,
+    validate_training_inputs,
 };
-use faults::Perturbable;
+use faults::{BitflipReport, Perturbable};
 use hdc::encoder::{Encode, SinusoidEncoder};
 use hdc::DimensionPartition;
 use linalg::{Matrix, Rng64};
@@ -129,6 +138,11 @@ pub struct BoostHdConfig {
     pub class_balanced_init: bool,
     /// Seed for the shared random projection.
     pub seed: u64,
+    /// Class-memory precision every weak learner is frozen at.
+    pub precision: Precision,
+    /// Quantization-aware refit epochs per learner before freezing at
+    /// int8 or 1 bit (0 = data-free quantization; must be 0 at f32).
+    pub refit_epochs: usize,
 }
 
 impl Default for BoostHdConfig {
@@ -146,15 +160,17 @@ impl Default for BoostHdConfig {
             weight_clamp: 8.0,
             class_balanced_init: true,
             seed: 0x5EED,
+            precision: Precision::F32,
+            refit_epochs: 0,
         }
     }
 }
 
-/// One trained weak learner: its class hypervectors, vote weight, and the
+/// One trained weak learner: its class memory, vote weight, and the
 /// dimension segment it owns.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct WeakLearner {
-    class_hvs: Matrix,
+    memory: ClassMemory,
     alpha: f32,
     seg_start: usize,
     seg_end: usize,
@@ -164,14 +180,8 @@ struct WeakLearner {
 }
 
 impl WeakLearner {
-    fn scores(&self, full_h: &[f32], x: &[f32]) -> Vec<f32> {
-        match &self.own_encoder {
-            None => scores_unit_classes(&self.class_hvs, &full_h[self.seg_start..self.seg_end]),
-            Some(enc) => {
-                let h = enc.encode_row(x);
-                scores_unit_classes(&self.class_hvs, &h)
-            }
-        }
+    fn segment(&self) -> Range<usize> {
+        self.seg_start..self.seg_end
     }
 }
 
@@ -195,8 +205,8 @@ impl BoostHd {
     /// # Errors
     ///
     /// * [`BoostHdError::InvalidConfig`] if `dim_total` or `n_learners` is
-    ///   zero, `n_learners > dim_total`, or the learning rate is
-    ///   non-positive;
+    ///   zero, `n_learners > dim_total`, the learning rate is non-positive,
+    ///   or refit epochs are set at f32;
     /// * [`BoostHdError::DataMismatch`] for empty data, label/feature row
     ///   disagreement, or fewer than two classes (boosting weights are
     ///   undefined for `K < 2`).
@@ -228,6 +238,7 @@ impl BoostHd {
                 reason: format!("learning rate must be positive, got {}", config.lr),
             });
         }
+        config.precision.check_refit_epochs(config.refit_epochs)?;
         let num_classes = y.iter().copied().max().expect("validated non-empty") + 1;
         if num_classes < 2 {
             return Err(BoostHdError::DataMismatch {
@@ -423,7 +434,7 @@ impl BoostHd {
                 }
 
                 learners.push(WeakLearner {
-                    class_hvs,
+                    memory: ClassMemory::Dense(class_hvs),
                     alpha,
                     seg_start: seg.start,
                     seg_end: seg.end,
@@ -433,14 +444,130 @@ impl BoostHd {
             wave_start = wave_end;
         }
 
-        Ok(Self {
+        let trained = Self {
             encoder,
             partition,
             learners,
             num_classes,
-            config: *config,
+            config: BoostHdConfig {
+                precision: Precision::F32,
+                refit_epochs: 0,
+                ..*config
+            },
             train_errors,
-        })
+        };
+        trained.with_precision_refit(config.precision, x, y, config.refit_epochs)
+    }
+
+    /// Freezes every weak learner of an f32 ensemble at `precision`
+    /// (data-free quantization; see [`crate::memory`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoostHdError::InvalidConfig`] when the ensemble is not
+    /// f32.
+    pub fn with_precision(&self, precision: Precision) -> Result<Self> {
+        let memories = self
+            .learners
+            .iter()
+            .map(|l| Ok(ClassMemory::from_dense(l.memory.f32_source()?, precision)))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(self.with_memories(memories, precision, 0))
+    }
+
+    /// [`BoostHd::with_precision`] preceded by `epochs` of per-learner
+    /// quantization-aware refinement on `(x, y)`.
+    ///
+    /// Each weak learner refines against its own segment of the encoded
+    /// refit batch, scoring exactly the way the deployed memory will while
+    /// updates accumulate in f32 shadow weights. Recommended before
+    /// shipping 1-bit memories: at the paper's `D_wl = 400` it recovers
+    /// most of the sign-rounding loss. A handful of epochs suffices; long
+    /// refits start fitting quantization noise. Zero epochs is plain
+    /// data-free quantization.
+    ///
+    /// # Errors
+    ///
+    /// * [`BoostHdError::InvalidConfig`] when the ensemble is not f32, or
+    ///   for refit epochs at f32;
+    /// * [`BoostHdError::DataMismatch`] for empty/inconsistent refit data
+    ///   or out-of-range labels.
+    pub fn with_precision_refit(
+        &self,
+        precision: Precision,
+        x: &Matrix,
+        y: &[usize],
+        epochs: usize,
+    ) -> Result<Self> {
+        for l in &self.learners {
+            l.memory.f32_source()?;
+        }
+        precision.check_refit_epochs(epochs)?;
+        memory::validate_refit_inputs(x, y, self.encoder.input_len(), self.num_classes)?;
+        if epochs == 0 {
+            return self.with_precision(precision);
+        }
+        let needs_full = self.learners.iter().any(|l| l.own_encoder.is_none());
+        let z = needs_full.then(|| self.encoder.encode_batch(x));
+        let memories = self
+            .learners
+            .iter()
+            .map(|l| {
+                let zi = match (&l.own_encoder, &z) {
+                    (Some(enc), _) => enc.encode_batch(x),
+                    (None, Some(z)) => z.slice_columns(l.seg_start, l.seg_end),
+                    (None, None) => unreachable!("full encoding exists for segment learners"),
+                };
+                let mut shadow = l.memory.expect_dense().clone();
+                memory::refit(&zi, y, &mut shadow, self.config.lr, epochs, precision)
+            })
+            .collect();
+        Ok(self.with_memories(memories, precision, epochs))
+    }
+
+    /// This ensemble over new learner memories (same encoders, weights and
+    /// segments; config recording the new precision and refit epochs).
+    fn with_memories(
+        &self,
+        memories: Vec<ClassMemory>,
+        precision: Precision,
+        refit_epochs: usize,
+    ) -> Self {
+        let learners = self
+            .learners
+            .iter()
+            .zip(memories)
+            .map(|(l, memory)| WeakLearner {
+                memory,
+                alpha: l.alpha,
+                seg_start: l.seg_start,
+                seg_end: l.seg_end,
+                own_encoder: l.own_encoder.clone(),
+            })
+            .collect();
+        Self {
+            encoder: self.encoder.clone(),
+            partition: self.partition.clone(),
+            learners,
+            num_classes: self.num_classes,
+            config: BoostHdConfig {
+                precision,
+                refit_epochs,
+                ..self.config
+            },
+            train_errors: self.train_errors.clone(),
+        }
+    }
+
+    /// The class-memory precision every weak learner is stored at.
+    pub fn precision(&self) -> Precision {
+        self.config.precision
+    }
+
+    /// Bytes of class-memory storage across all weak learners (excludes
+    /// the shared projection).
+    pub fn class_storage_bytes(&self) -> usize {
+        self.learners.iter().map(|l| l.memory.storage_bytes()).sum()
     }
 
     /// Vote weights `α_i` of the weak learners, in training order.
@@ -483,9 +610,20 @@ impl BoostHd {
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.num_learners()`.
+    /// Panics if `i >= self.num_learners()`, or when the ensemble is not
+    /// f32 (quantized memories hold no dense rows; see
+    /// [`BoostHd::learner_class_memory`]).
     pub fn learner_class_hypervectors(&self, i: usize) -> &Matrix {
-        &self.learners[i].class_hvs
+        self.learners[i].memory.expect_dense()
+    }
+
+    /// Class memory of weak learner `i`, at the ensemble's precision.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.num_learners()`.
+    pub fn learner_class_memory(&self, i: usize) -> &ClassMemory {
+        &self.learners[i].memory
     }
 
     /// All per-learner class hypervectors embedded into the full-`D` space
@@ -494,11 +632,15 @@ impl BoostHd {
     ///
     /// Only meaningful in [`EnsembleMode::Partitioned`]; full-dimension
     /// learners are embedded at their nominal segments for comparability.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the ensemble is not f32.
     pub fn stacked_class_hypervectors(&self) -> Matrix {
-        let blocks: Vec<(std::ops::Range<usize>, &Matrix)> = self
+        let blocks: Vec<(Range<usize>, &Matrix)> = self
             .learners
             .iter()
-            .map(|l| (l.seg_start..l.seg_end, &l.class_hvs))
+            .map(|l| (l.segment(), l.memory.expect_dense()))
             .collect();
         let usable: Vec<_> = blocks
             .iter()
@@ -519,11 +661,11 @@ impl BoostHd {
     ///
     /// # Errors
     ///
-    /// Returns [`BoostHdError::DataMismatch`] if segments or class-matrix
-    /// shapes are inconsistent with the configuration.
+    /// Returns [`BoostHdError::DataMismatch`] if segments, class-memory
+    /// shapes, or precisions are inconsistent with the configuration.
     pub(crate) fn from_parts(
         encoder: SinusoidEncoder,
-        learners: Vec<(f32, usize, usize, Matrix, Option<SinusoidEncoder>)>,
+        learners: Vec<(f32, usize, usize, ClassMemory, Option<SinusoidEncoder>)>,
         num_classes: usize,
         config: BoostHdConfig,
         train_errors: Vec<f64>,
@@ -536,19 +678,23 @@ impl BoostHd {
             })?;
         let learners: Vec<WeakLearner> = learners
             .into_iter()
-            .map(|(alpha, seg_start, seg_end, class_hvs, own_encoder)| {
+            .map(|(alpha, seg_start, seg_end, memory, own_encoder)| {
                 if seg_start > seg_end || seg_end > config.dim_total {
                     return Err(BoostHdError::DataMismatch {
                         reason: format!("segment {seg_start}..{seg_end} out of bounds"),
                     });
                 }
-                if own_encoder.is_none() && class_hvs.cols() != seg_end - seg_start {
+                if memory.precision() != config.precision {
                     return Err(BoostHdError::DataMismatch {
-                        reason: "class hypervector width disagrees with segment".into(),
+                        reason: "learner precision disagrees with the ensemble".into(),
                     });
                 }
+                let width = own_encoder
+                    .as_ref()
+                    .map_or(seg_end - seg_start, |e| e.dim());
+                memory.check_shape(num_classes, width)?;
                 Ok(WeakLearner {
-                    class_hvs,
+                    memory,
                     alpha,
                     seg_start,
                     seg_end,
@@ -566,18 +712,22 @@ impl BoostHd {
         })
     }
 
-    /// Quantizes every weak learner's class hypervectors to bipolar
-    /// `{−1, +1}` in place — the 1-bit representation HDC accelerators
-    /// store. See [`crate::OnlineHd::quantize_bipolar`].
+    /// Quantizes every weak learner's f32 class hypervectors to bipolar
+    /// `{−1, +1}` in place. See [`crate::OnlineHd::quantize_bipolar`].
     pub fn quantize_bipolar(&mut self) {
         for learner in &mut self.learners {
-            for r in 0..learner.class_hvs.rows() {
-                let row = learner.class_hvs.row_mut(r);
-                let q = hdc::ops::to_bipolar(row);
-                row.copy_from_slice(&q);
-                hdc::ops::normalize_inplace(row);
+            if let Some(m) = learner.memory.as_dense_mut() {
+                crate::online::bipolarize_rows(m);
             }
         }
+    }
+
+    /// Flips each stored class-memory bit of every weak learner
+    /// independently with probability `p_b`, learners in training order
+    /// (see [`memory::inject_bitflips`]).
+    pub(crate) fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> BitflipReport {
+        let memories = self.learners.iter_mut().map(|l| &mut l.memory).collect();
+        memory::inject_bitflips(memories, p_b, rng)
     }
 
     /// Predicts every row of `x` using `threads` worker threads, each
@@ -593,35 +743,19 @@ impl BoostHd {
         predict_batch_chunked(self, x, threads)
     }
 
-    fn votes_for_encoded(&self, full_h: &[f32], x: &[f32]) -> Vec<f32> {
-        let mut votes = vec![0.0f32; self.num_classes];
-        for learner in &self.learners {
-            let sims = learner.scores(full_h, x);
-            match self.config.voting {
-                Voting::Hard => votes[argmax(&sims)] += learner.alpha,
-                Voting::Soft => {
-                    for (v, s) in votes.iter_mut().zip(sims.iter()) {
-                        *v += learner.alpha * s;
-                    }
-                }
-            }
-        }
-        votes
+    /// Whether any learner reads a segment of the shared encoding (all of
+    /// them in partitioned mode, none in the full-dimension ablation).
+    fn needs_full_encoding(&self) -> bool {
+        self.learners.iter().any(|l| l.own_encoder.is_none())
     }
 
-    /// Accumulates one learner's `α`-weighted votes for a chunk of batch
-    /// rows into the `samples × classes` vote matrix starting at row
-    /// `offset`, given that learner's per-chunk similarity matrix.
-    fn accumulate_votes(&self, votes: &mut Matrix, offset: usize, sims: &Matrix, alpha: f32) {
-        for r in 0..sims.rows() {
-            let sims_row = sims.row(r);
-            let vote_row = votes.row_mut(offset + r);
-            match self.config.voting {
-                Voting::Hard => vote_row[argmax(sims_row)] += alpha,
-                Voting::Soft => {
-                    for (v, s) in vote_row.iter_mut().zip(sims_row.iter()) {
-                        *v += alpha * s;
-                    }
+    /// Adds one learner's `α`-weighted vote for one query to `votes`.
+    fn add_vote(&self, votes: &mut [f32], sims: &[f32], alpha: f32) {
+        match self.config.voting {
+            Voting::Hard => votes[argmax(sims)] += alpha,
+            Voting::Soft => {
+                for (v, s) in votes.iter_mut().zip(sims.iter()) {
+                    *v += alpha * s;
                 }
             }
         }
@@ -655,23 +789,41 @@ impl Classifier for BoostHd {
     }
 
     fn scores(&self, x: &[f32]) -> Vec<f32> {
-        let full_h = match self.config.mode {
-            EnsembleMode::Partitioned => self.encoder.encode_row(x),
-            EnsembleMode::FullDimension => Vec::new(),
+        let full_h = if self.needs_full_encoding() {
+            self.encoder.encode_row(x)
+        } else {
+            Vec::new()
         };
-        self.votes_for_encoded(&full_h, x)
+        let mut votes = vec![0.0f32; self.num_classes];
+        let mut sims = vec![0.0f32; self.num_classes];
+        let mut qbuf = Vec::new();
+        for learner in &self.learners {
+            match &learner.own_encoder {
+                None => {
+                    learner
+                        .memory
+                        .scores_into(&full_h[learner.segment()], &mut qbuf, &mut sims)
+                }
+                Some(enc) => learner
+                    .memory
+                    .scores_into(&enc.encode_row(x), &mut qbuf, &mut sims),
+            }
+            self.add_vote(&mut votes, &sims, learner.alpha);
+        }
+        votes
     }
 
     fn scores_batch(&self, x: &Matrix) -> Matrix {
         // Walk the batch in row chunks through a reused encode buffer:
         // each chunk is encoded once (shared full-`D` GEMM for partitioned
         // learners, one GEMM per private encoder in the full-dimension
-        // ablation), then every learner scores it with one batched
-        // similarity product — learners visited in training order so vote
-        // sums accumulate exactly like the row path.
+        // ablation), then every learner scores its segment of the chunk
+        // against its class memory in one sweep — learners visited in
+        // training order so vote sums accumulate exactly like the row path.
         let mut votes = Matrix::zeros(x.rows(), self.num_classes);
-        let needs_full = self.learners.iter().any(|l| l.own_encoder.is_none());
+        let needs_full = self.needs_full_encoding();
         let mut zbuf = Matrix::zeros(0, 0);
+        let mut own_zbuf = Matrix::zeros(0, 0);
         let mut start = 0;
         while start < x.rows() {
             let end = (start + crate::online::score_chunk()).min(x.rows());
@@ -681,15 +833,15 @@ impl Classifier for BoostHd {
             }
             for learner in &self.learners {
                 let sims = match &learner.own_encoder {
-                    None => {
-                        let zi = zbuf.slice_columns(learner.seg_start, learner.seg_end);
-                        scores_unit_classes_batch(&learner.class_hvs, &zi)
-                    }
+                    None => learner.memory.score_chunk(&zbuf, learner.segment()),
                     Some(enc) => {
-                        scores_unit_classes_batch(&learner.class_hvs, &enc.encode_batch(&xc))
+                        enc.encode_batch_into(&xc, &mut own_zbuf);
+                        learner.memory.score_chunk(&own_zbuf, 0..own_zbuf.cols())
                     }
                 };
-                self.accumulate_votes(&mut votes, start, &sims, learner.alpha);
+                for r in 0..sims.rows() {
+                    self.add_vote(votes.row_mut(start + r), sims.row(r), learner.alpha);
+                }
             }
             start = end;
         }
@@ -701,11 +853,13 @@ impl Classifier for BoostHd {
     }
 }
 
+/// Exposes every learner's dense f32 rows (none for quantized ensembles;
+/// use [`crate::Model::inject_bitflips`] for every precision).
 impl Perturbable for BoostHd {
     fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
         self.learners
             .iter_mut()
-            .map(|l| l.class_hvs.as_mut_slice())
+            .filter_map(|l| l.memory.as_dense_mut().map(Matrix::as_mut_slice))
             .collect()
     }
 }

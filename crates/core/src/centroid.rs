@@ -5,14 +5,14 @@
 //! `C_l = Σ_{y_i = l} φ(x_i)`. No refinement, no error feedback — one pass.
 //! Included both as the simplest member of the HDC family and as the ablation
 //! weak learner ("what does BoostHD buy beyond bundling?").
+//! [`CentroidHd::with_precision`] freezes the centroids at int8 or 1 bit
+//! (see [`crate::memory`]).
 
 use crate::classifier::{argmax_rows, Classifier};
 use crate::error::{BoostHdError, Result};
-use crate::online::{
-    chunked_unit_scores, normalize_rows, normalize_weights, scores_unit_classes,
-    validate_training_inputs,
-};
-use faults::Perturbable;
+use crate::memory::{self, ClassMemory, Precision};
+use crate::online::{chunked_scores, normalize_rows, normalize_weights, validate_training_inputs};
+use faults::{BitflipReport, Perturbable};
 use hdc::encoder::{Encode, SinusoidEncoder};
 use linalg::{Matrix, Rng64};
 use serde::{Deserialize, Serialize};
@@ -57,7 +57,7 @@ impl Default for CentroidHdConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CentroidHd {
     encoder: SinusoidEncoder,
-    class_hvs: Matrix,
+    memory: ClassMemory,
     num_classes: usize,
 }
 
@@ -110,14 +110,37 @@ impl CentroidHd {
         normalize_rows(&mut class_hvs);
         Ok(Self {
             encoder,
-            class_hvs,
+            memory: ClassMemory::Dense(class_hvs),
             num_classes,
         })
     }
 
+    /// Freezes an f32 model's centroids at `precision` (data-free
+    /// quantization; see [`crate::memory`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoostHdError::InvalidConfig`] when the model is not f32.
+    pub fn with_precision(&self, precision: Precision) -> Result<Self> {
+        Ok(Self {
+            encoder: self.encoder.clone(),
+            memory: ClassMemory::from_dense(self.memory.f32_source()?, precision),
+            num_classes: self.num_classes,
+        })
+    }
+
     /// The trained class hypervectors as a `classes × D` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the model is not f32 (see [`CentroidHd::class_memory`]).
     pub fn class_hypervectors(&self) -> &Matrix {
-        &self.class_hvs
+        self.memory.expect_dense()
+    }
+
+    /// The class memory, at the model's precision.
+    pub fn class_memory(&self) -> &ClassMemory {
+        &self.memory
     }
 
     /// The encoder used to map features into the hyperspace.
@@ -127,7 +150,7 @@ impl CentroidHd {
 
     /// Hyperspace dimensionality `D`.
     pub fn dim(&self) -> usize {
-        self.class_hvs.cols()
+        self.memory.dim()
     }
 
     /// Reassembles a model from its stored parts (the persistence path).
@@ -137,24 +160,21 @@ impl CentroidHd {
     /// Returns [`BoostHdError::DataMismatch`] for inconsistent shapes.
     pub(crate) fn from_parts(
         encoder: SinusoidEncoder,
-        class_hvs: Matrix,
+        memory: ClassMemory,
         num_classes: usize,
     ) -> Result<Self> {
-        if class_hvs.rows() != num_classes {
-            return Err(BoostHdError::DataMismatch {
-                reason: "class hypervector count disagrees with header".into(),
-            });
-        }
-        if class_hvs.cols() != encoder.dim() {
-            return Err(BoostHdError::DataMismatch {
-                reason: "class hypervector width disagrees with encoder".into(),
-            });
-        }
+        memory.check_shape(num_classes, encoder.dim())?;
         Ok(Self {
             encoder,
-            class_hvs,
+            memory,
             num_classes,
         })
+    }
+
+    /// Flips each stored class-memory bit independently with probability
+    /// `p_b` (see [`memory::inject_bitflips`]).
+    pub(crate) fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> BitflipReport {
+        memory::inject_bitflips(vec![&mut self.memory], p_b, rng)
     }
 }
 
@@ -165,11 +185,13 @@ impl Classifier for CentroidHd {
 
     fn scores(&self, x: &[f32]) -> Vec<f32> {
         let h = self.encoder.encode_row(x);
-        scores_unit_classes(&self.class_hvs, &h)
+        let mut out = vec![0.0f32; self.num_classes];
+        self.memory.scores_into(&h, &mut Vec::new(), &mut out);
+        out
     }
 
     fn scores_batch(&self, x: &Matrix) -> Matrix {
-        chunked_unit_scores(&self.encoder, &self.class_hvs, x)
+        chunked_scores(&self.encoder, &self.memory, x)
     }
 
     fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
@@ -177,9 +199,15 @@ impl Classifier for CentroidHd {
     }
 }
 
+/// Exposes the dense f32 rows (none for quantized models; use
+/// [`crate::Model::inject_bitflips`] for every precision).
 impl Perturbable for CentroidHd {
     fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.class_hvs.as_mut_slice()]
+        self.memory
+            .as_dense_mut()
+            .map(Matrix::as_mut_slice)
+            .into_iter()
+            .collect()
     }
 }
 

@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! +--------------------------------------------------------------+
-//! | header: "BHFS" magic (u32 LE) | version u8 (2) | 3 pad bytes |  8 B
+//! | header: "BHFS" magic (u32 LE) | version u8 (3) | 3 pad bytes |  8 B
 //! +--------------------------------------------------------------+
 //! | record 0  (8-aligned)                                        |
 //! |   "FREC" magic u32 | kind u32 (0 = model, 1 = encoder)       |
@@ -49,9 +49,11 @@
 //! +--------------------------------------------------------------+
 //! ```
 //!
-//! **Version invariant.** This is format version 2. Version 1 stores
-//! inlined a full projection in every model record; [`ModelStore::open`]
-//! rejects them with a message asking for the store to be rebuilt.
+//! **Version invariant.** This is format version 3: each model record's
+//! structure stream is the current BHD1 model grammar ([`crate::persist`]),
+//! with a precision tag in front of every class memory.
+//! [`ModelStore::open`] reads version 3 only and rejects any other with a
+//! message asking for the store to be rebuilt.
 //!
 //! **Alignment invariant.** Every record starts on an 8-byte boundary
 //! and its payload heap starts on an 8-byte boundary *within* the
@@ -110,7 +112,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, Weak};
 
 const STORE_MAGIC: u32 = u32::from_le_bytes(*b"BHFS");
-const STORE_VERSION: u8 = 2;
+const STORE_VERSION: u8 = 3;
 const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"FREC");
 /// Record kind of a published model tier.
 const KIND_MODEL: u32 = 0;
@@ -330,7 +332,7 @@ impl ModelStore {
             STORE_VERSION => {}
             old if old < STORE_VERSION => {
                 return Err(store_err(format!(
-                    "fleet store version {old} stores a projection in every model record; \
+                    "fleet store version {old} predates this build's model records; \
                      this build reads version {STORE_VERSION} only: rebuild the store by \
                      publishing its models again"
                 )))
@@ -1265,6 +1267,7 @@ impl Fleet {
 mod tests {
     use super::*;
     use crate::classifier::Classifier;
+    use crate::memory::Precision;
     use crate::online::{OnlineHd, OnlineHdConfig};
     use crate::spec::ModelSpec;
     use linalg::{Matrix, Rng64};
@@ -1471,24 +1474,16 @@ mod tests {
 
     /// The stored projection behind a pipeline's (primary) encoder.
     fn projection_ptr(p: &Pipeline) -> *const f32 {
-        use crate::{CentroidHd, QuantizedBoostHd, QuantizedHd, QuantizedI8BoostHd, QuantizedI8Hd};
-        macro_rules! encoder_of {
-            ($($ty:ty),*) => {$(
-                if let Some(m) = p.downcast_ref::<$ty>() {
-                    return m.encoder().projection_t().unwrap().as_slice().as_ptr();
-                }
-            )*};
-        }
-        encoder_of!(
-            OnlineHd,
-            CentroidHd,
-            crate::BoostHd,
-            QuantizedHd,
-            QuantizedBoostHd,
-            QuantizedI8Hd,
-            QuantizedI8BoostHd
-        );
-        panic!("{} has no stored encoder", p.spec().kind_tag())
+        let encoder = if let Some(m) = p.downcast_ref::<OnlineHd>() {
+            m.encoder()
+        } else if let Some(m) = p.downcast_ref::<crate::CentroidHd>() {
+            m.encoder()
+        } else if let Some(m) = p.downcast_ref::<crate::BoostHd>() {
+            m.encoder()
+        } else {
+            panic!("{} has no stored encoder", p.spec().kind_tag())
+        };
+        encoder.projection_t().unwrap().as_slice().as_ptr()
     }
 
     /// A fit plus its refit-free int8 and 1-bit siblings: one encoder,
@@ -1500,22 +1495,10 @@ mod tests {
             ..Default::default()
         };
         let full = Pipeline::fit(&ModelSpec::OnlineHd(base), x, y).unwrap();
-        let m = full.downcast_ref::<OnlineHd>().unwrap();
-        let int8 = Pipeline::from_model(
-            ModelSpec::QuantizedI8OnlineHd {
-                base,
-                refit_epochs: 0,
-            },
-            Box::new(m.quantize_i8()),
-        );
-        let binary = Pipeline::from_model(
-            ModelSpec::QuantizedOnlineHd {
-                base,
-                refit_epochs: 0,
-            },
-            Box::new(m.quantize()),
-        );
-        vec![full, int8, binary]
+        Precision::ALL
+            .into_iter()
+            .map(|p| full.with_precision(p).unwrap())
+            .collect()
     }
 
     /// Every persistable payload kind — dense f32, packed u64, and int8
@@ -1542,46 +1525,40 @@ mod tests {
                 epochs: 2,
                 ..Default::default()
             }),
-            ModelSpec::QuantizedOnlineHd {
-                base: OnlineHdConfig {
-                    dim: 96,
-                    epochs: 3,
-                    ..Default::default()
-                },
+            ModelSpec::OnlineHd(OnlineHdConfig {
+                dim: 96,
+                epochs: 3,
+                precision: Precision::Binary,
                 refit_epochs: 2,
-            },
-            ModelSpec::QuantizedBoostHd {
-                base: BoostHdConfig {
-                    dim_total: 120,
-                    n_learners: 4,
-                    epochs: 2,
-                    ..Default::default()
-                },
-                refit_epochs: 0,
-            },
-            ModelSpec::QuantizedI8OnlineHd {
-                base: OnlineHdConfig {
-                    dim: 96,
-                    epochs: 3,
-                    ..Default::default()
-                },
+                ..Default::default()
+            }),
+            ModelSpec::BoostHd(BoostHdConfig {
+                dim_total: 120,
+                n_learners: 4,
+                epochs: 2,
+                precision: Precision::Binary,
+                ..Default::default()
+            }),
+            ModelSpec::OnlineHd(OnlineHdConfig {
+                dim: 96,
+                epochs: 3,
+                precision: Precision::Int8,
                 refit_epochs: 2,
-            },
-            ModelSpec::QuantizedI8BoostHd {
-                base: BoostHdConfig {
-                    dim_total: 120,
-                    n_learners: 4,
-                    epochs: 2,
-                    ..Default::default()
-                },
-                refit_epochs: 0,
-            },
+                ..Default::default()
+            }),
+            ModelSpec::BoostHd(BoostHdConfig {
+                dim_total: 120,
+                n_learners: 4,
+                epochs: 2,
+                precision: Precision::Int8,
+                ..Default::default()
+            }),
         ];
         let (x, y) = toy();
         let dir = tempdir("fleet-payload-kinds");
         let store = ModelStore::create(dir.join("models.bhfs")).unwrap();
         for spec in specs {
-            let tag = spec.kind_tag();
+            let tag = spec.display_name();
             let fitted =
                 Pipeline::fit(&spec, &x, &y).unwrap_or_else(|e| panic!("{tag} failed to fit: {e}"));
             // The class memory decodes zero-copy: the pipeline borrows its
@@ -1860,12 +1837,15 @@ mod tests {
         .unwrap();
         let corrupted = Pipeline::from_model(
             a.primary().spec().clone(),
-            Box::new(OnlineHd::from_parts(
-                encoder,
-                resident.class_hypervectors().clone(),
-                Classifier::num_classes(resident),
-                *resident.config(),
-            )),
+            Box::new(
+                OnlineHd::from_parts(
+                    encoder,
+                    resident.class_memory().clone(),
+                    Classifier::num_classes(resident),
+                    *resident.config(),
+                )
+                .unwrap(),
+            ),
         );
         assert_ne!(
             corrupted.predict_batch_with_confidence(&x),
@@ -1911,13 +1891,15 @@ mod tests {
         let path = dir.join("models.bhfs");
         ModelStore::create(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4] = 1;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = ModelStore::open(&path).err().unwrap().to_string();
-        assert!(
-            err.contains("version 1") && err.contains("rebuild"),
-            "unexpected error: {err}"
-        );
+        for old in [1u8, 2] {
+            bytes[4] = old;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = ModelStore::open(&path).err().unwrap().to_string();
+            assert!(
+                err.contains(&format!("version {old}")) && err.contains("rebuild"),
+                "unexpected error: {err}"
+            );
+        }
     }
 
     #[test]

@@ -14,19 +14,19 @@
 //!   sequentially under AdaBoost/SAMME sample re-weighting. Inference is a
 //!   learner-weighted vote and parallelizes across queries.
 //!
-//! Every trained model can additionally be **frozen for deployment** on
-//! a two-rung quantization ladder: `quantize_i8()` ([`quantized_i8`]
-//! module) stores one scaled signed byte per dimension and scores through
-//! the widening integer dot kernel (~4× smaller, cosine-faithful), and
-//! `quantize()` ([`quantized`] module) sign-binarizes class hypervectors
-//! into bitpacked `u64` words ([`hdc::backend::BitpackedSign`]) scored
-//! via XOR + popcount — 32× smaller and several times faster than the
-//! f32 cosine path at the paper's `D = 4000`.
+//! Each model owns its class hypervectors as one [`ClassMemory`]
+//! ([`memory`] module) whose [`Precision`] is a deployment choice, not a
+//! separate model type: training runs in f32, and `with_precision(p)`
+//! (or the `precision` field of the config) freezes the memory at int8 —
+//! one scaled signed byte per dimension scored through the widening
+//! integer dot kernel (~4× smaller, cosine-faithful) — or at 1 bit —
+//! sign-binarized `u64` words ([`hdc::backend::BitpackedSign`]) scored via
+//! XOR + popcount, 32× smaller and several times faster than the f32
+//! cosine path at the paper's `D = 4000`.
 //!
 //! All models implement the [`Classifier`] trait (shared with the
-//! `baselines` crate); f32 models implement [`faults::Perturbable`],
-//! int8 models [`faults::PerturbableI8`], and bitpacked models
-//! [`faults::PerturbablePacked`] for bit-flip fault injection.
+//! `baselines` crate) and [`Model`], whose `inject_bitflips` applies the
+//! bit-flip fault model of their memory's precision.
 //!
 //! The recommended front door is the **unified facade** ([`pipeline`]):
 //! describe any model (HDC or classical baseline) as a serializable
@@ -73,23 +73,33 @@ pub mod centroid;
 pub mod classifier;
 pub mod error;
 pub mod fleet;
+pub mod memory;
 pub mod online;
 pub mod parallel;
 pub mod persist;
 pub mod pipeline;
 pub mod pool;
-pub mod quantized;
-pub mod quantized_i8;
 pub mod spec;
 pub mod toml;
+
+// The 1-bit and int8 precision tests share the checks in
+// `precision_tests`; they mount as `quantized` and `quantized_i8` so their
+// test ids stay stable.
+#[cfg(test)]
+mod precision_tests;
+#[cfg(test)]
+#[path = "precision_tests/binary.rs"]
+mod quantized;
+#[cfg(test)]
+#[path = "precision_tests/int8.rs"]
+mod quantized_i8;
 
 pub use boost::{BoostHd, BoostHdConfig, Voting};
 pub use centroid::{CentroidHd, CentroidHdConfig};
 pub use classifier::{argmax, Classifier};
 pub use error::{BoostHdError, Result};
 pub use fleet::{Fleet, FleetConfig, FleetModel, ModelStore, StoreEntry};
+pub use memory::{ClassMemory, Precision};
 pub use online::{OnlineHd, OnlineHdConfig};
 pub use pipeline::{Model, Pipeline, Prediction};
-pub use quantized::{QuantizedBoostHd, QuantizedHd};
-pub use quantized_i8::{QuantizedI8BoostHd, QuantizedI8Hd, QuantizedI8Query};
 pub use spec::{BaselineKind, BaselineSpec, ModelSpec};

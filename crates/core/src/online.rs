@@ -25,10 +25,15 @@
 //! The refinement loop also accepts per-sample weights (uniform for a plain
 //! fit), which is the hook BoostHD's booster uses to focus weak learners on
 //! previously misclassified samples.
+//!
+//! Training runs in f32; [`OnlineHdConfig::precision`] then freezes the
+//! class memory at int8 or 1 bit for deployment (see [`crate::memory`]),
+//! optionally after a few quantization-aware refit epochs.
 
 use crate::classifier::{argmax, argmax_rows, Classifier};
 use crate::error::{BoostHdError, Result};
-use faults::Perturbable;
+use crate::memory::{self, ClassMemory, Precision};
+use faults::{BitflipReport, Perturbable};
 use hdc::encoder::{Encode, SinusoidEncoder};
 use linalg::matrix::{dot, norm};
 use linalg::{Matrix, Rng64};
@@ -50,6 +55,11 @@ pub struct OnlineHdConfig {
     pub bootstrap: bool,
     /// Seed for the encoder's random projection.
     pub seed: u64,
+    /// Class-memory precision the trained model is frozen at.
+    pub precision: Precision,
+    /// Quantization-aware refit epochs before freezing at int8 or 1 bit
+    /// (0 = data-free quantization; must be 0 at f32).
+    pub refit_epochs: usize,
 }
 
 impl Default for OnlineHdConfig {
@@ -60,6 +70,8 @@ impl Default for OnlineHdConfig {
             epochs: 20,
             bootstrap: true,
             seed: 0x5EED,
+            precision: Precision::F32,
+            refit_epochs: 0,
         }
     }
 }
@@ -72,7 +84,7 @@ impl Default for OnlineHdConfig {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OnlineHd {
     encoder: SinusoidEncoder,
-    class_hvs: Matrix,
+    memory: ClassMemory,
     num_classes: usize,
     config: OnlineHdConfig,
 }
@@ -95,7 +107,7 @@ impl OnlineHd {
     /// # Errors
     ///
     /// * [`BoostHdError::InvalidConfig`] for a zero dimension, non-positive
-    ///   learning rate, or zero classes;
+    ///   learning rate, zero classes, or refit epochs at f32;
     /// * [`BoostHdError::DataMismatch`] for empty data, label/feature row
     ///   disagreement, or weight-length disagreement.
     pub fn fit_weighted(
@@ -115,6 +127,7 @@ impl OnlineHd {
                 reason: format!("learning rate must be positive, got {}", config.lr),
             });
         }
+        config.precision.check_refit_epochs(config.refit_epochs)?;
         let num_classes = y.iter().copied().max().expect("validated non-empty") + 1;
         let mut rng = Rng64::seed_from(config.seed);
         let encoder =
@@ -131,17 +144,97 @@ impl OnlineHd {
             config.bootstrap,
         );
         normalize_rows(&mut class_hvs);
-        Ok(Self {
+        let trained = Self {
             encoder,
-            class_hvs,
+            memory: ClassMemory::Dense(class_hvs),
             num_classes,
-            config: *config,
-        })
+            config: OnlineHdConfig {
+                precision: Precision::F32,
+                refit_epochs: 0,
+                ..*config
+            },
+        };
+        trained.with_precision_refit(config.precision, x, y, config.refit_epochs)
+    }
+
+    /// Freezes an f32 model's class memory at `precision` (data-free
+    /// quantization; see [`crate::memory`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoostHdError::InvalidConfig`] when the model is not f32.
+    pub fn with_precision(&self, precision: Precision) -> Result<Self> {
+        let dense = self.memory.f32_source()?;
+        Ok(self.with_memory(ClassMemory::from_dense(dense, precision), 0))
+    }
+
+    /// [`OnlineHd::with_precision`] preceded by `epochs` of
+    /// quantization-aware refinement on `(x, y)` (see
+    /// [`crate::memory`]). Zero epochs is plain data-free quantization.
+    ///
+    /// # Errors
+    ///
+    /// * [`BoostHdError::InvalidConfig`] when the model is not f32, or for
+    ///   refit epochs at f32;
+    /// * [`BoostHdError::DataMismatch`] for empty/inconsistent refit data
+    ///   or out-of-range labels.
+    pub fn with_precision_refit(
+        &self,
+        precision: Precision,
+        x: &Matrix,
+        y: &[usize],
+        epochs: usize,
+    ) -> Result<Self> {
+        let dense = self.memory.f32_source()?;
+        precision.check_refit_epochs(epochs)?;
+        memory::validate_refit_inputs(x, y, self.encoder.input_len(), self.num_classes)?;
+        if epochs == 0 {
+            return self.with_precision(precision);
+        }
+        let z = self.encoder.encode_batch(x);
+        let mut shadow = dense.clone();
+        let refit = memory::refit(&z, y, &mut shadow, self.config.lr, epochs, precision);
+        Ok(self.with_memory(refit, epochs))
+    }
+
+    /// This model over another class memory (same encoder, config
+    /// recording the new precision and its refit epochs).
+    fn with_memory(&self, memory: ClassMemory, refit_epochs: usize) -> Self {
+        Self {
+            encoder: self.encoder.clone(),
+            config: OnlineHdConfig {
+                precision: memory.precision(),
+                refit_epochs,
+                ..self.config
+            },
+            memory,
+            num_classes: self.num_classes,
+        }
     }
 
     /// The trained class hypervectors as a `classes × D` matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the model is not f32 (quantized memories hold no dense
+    /// rows; see [`OnlineHd::class_memory`]).
     pub fn class_hypervectors(&self) -> &Matrix {
-        &self.class_hvs
+        self.memory.expect_dense()
+    }
+
+    /// The class memory, at the model's precision.
+    pub fn class_memory(&self) -> &ClassMemory {
+        &self.memory
+    }
+
+    /// The class-memory precision.
+    pub fn precision(&self) -> Precision {
+        self.memory.precision()
+    }
+
+    /// Bytes of class-memory storage (excludes the shared projection).
+    pub fn class_storage_bytes(&self) -> usize {
+        self.memory.storage_bytes()
     }
 
     /// The encoder used to map features into the hyperspace.
@@ -156,12 +249,15 @@ impl OnlineHd {
 
     /// Hyperspace dimensionality `D`.
     pub fn dim(&self) -> usize {
-        self.class_hvs.cols()
+        self.memory.dim()
     }
 
-    /// Per-class cosine similarities for an already-encoded hypervector.
+    /// Per-class similarities for an already-encoded hypervector — the
+    /// class-memory sweep alone, no encode.
     pub fn scores_encoded(&self, h: &[f32]) -> Vec<f32> {
-        scores_unit_classes(&self.class_hvs, h)
+        let mut out = vec![0.0f32; self.num_classes];
+        self.memory.scores_into(h, &mut Vec::new(), &mut out);
+        out
     }
 
     /// Performs one *online* update with a freshly observed labeled sample —
@@ -177,7 +273,8 @@ impl OnlineHd {
     /// # Errors
     ///
     /// * [`BoostHdError::DataMismatch`] if `x` has the wrong feature count
-    ///   or `y` is not one of the trained classes.
+    ///   or `y` is not one of the trained classes;
+    /// * [`BoostHdError::InvalidConfig`] if the model is not f32.
     pub fn update(&mut self, x: &[f32], y: usize) -> Result<usize> {
         if x.len() != self.encoder.input_len() {
             return Err(BoostHdError::DataMismatch {
@@ -193,8 +290,15 @@ impl OnlineHd {
                 reason: format!("label {y} outside the {} trained classes", self.num_classes),
             });
         }
+        let lr = self.config.lr;
+        let class_hvs = self
+            .memory
+            .as_dense_mut()
+            .ok_or_else(|| BoostHdError::InvalidConfig {
+                reason: "streaming updates need an f32 class memory".into(),
+            })?;
         let mut h = self.encoder.encode_row(x);
-        let sims = scores_unit_classes(&self.class_hvs, &h);
+        let sims = scores_unit_classes(class_hvs, &h);
         let pred = argmax(&sims);
         if pred != y {
             // The stored class hypervectors are unit-normalized, so the
@@ -202,11 +306,10 @@ impl OnlineHd {
             // update (‖φ(x)‖ ≈ √(D/8)) would overwrite the class direction
             // instead of nudging it.
             hdc::ops::normalize_inplace(&mut h);
-            let lr = self.config.lr;
-            hdc::ops::bundle_into(self.class_hvs.row_mut(y), &h, lr * (1.0 - sims[y]));
-            hdc::ops::bundle_into(self.class_hvs.row_mut(pred), &h, -lr * (1.0 - sims[pred]));
-            hdc::ops::normalize_inplace(self.class_hvs.row_mut(y));
-            hdc::ops::normalize_inplace(self.class_hvs.row_mut(pred));
+            hdc::ops::bundle_into(class_hvs.row_mut(y), &h, lr * (1.0 - sims[y]));
+            hdc::ops::bundle_into(class_hvs.row_mut(pred), &h, -lr * (1.0 - sims[pred]));
+            hdc::ops::normalize_inplace(class_hvs.row_mut(y));
+            hdc::ops::normalize_inplace(class_hvs.row_mut(pred));
         }
         Ok(pred)
     }
@@ -239,30 +342,39 @@ impl OnlineHd {
     }
 
     /// Reassembles a model from its stored parts (the persistence path).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoostHdError::DataMismatch`] for inconsistent shapes.
     pub(crate) fn from_parts(
         encoder: SinusoidEncoder,
-        class_hvs: Matrix,
+        memory: ClassMemory,
         num_classes: usize,
         config: OnlineHdConfig,
-    ) -> Self {
-        Self {
+    ) -> Result<Self> {
+        memory.check_shape(num_classes, encoder.dim())?;
+        Ok(Self {
             encoder,
-            class_hvs,
+            memory,
             num_classes,
             config,
-        }
+        })
     }
 
-    /// Quantizes the class hypervectors to bipolar `{−1, +1}` in place —
-    /// the representation HDC accelerators store in 1-bit memories. Cosine
-    /// scoring continues to work; accuracy typically drops by well under a
-    /// point at experiment dimensionalities while the model shrinks 32×.
+    /// Flips each stored class-memory bit independently with probability
+    /// `p_b` (see [`memory::inject_bitflips`] for the per-precision fault
+    /// model).
+    pub(crate) fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> BitflipReport {
+        memory::inject_bitflips(vec![&mut self.memory], p_b, rng)
+    }
+
+    /// Quantizes f32 class hypervectors to bipolar `{−1, +1}` in place —
+    /// the representation HDC accelerators store in 1-bit memories, kept
+    /// on the f32 cosine path. Accuracy typically drops by well under a
+    /// point at experiment dimensionalities. No-op on quantized models.
     pub fn quantize_bipolar(&mut self) {
-        for r in 0..self.class_hvs.rows() {
-            let row = self.class_hvs.row_mut(r);
-            let q = hdc::ops::to_bipolar(row);
-            row.copy_from_slice(&q);
-            hdc::ops::normalize_inplace(row);
+        if let Some(m) = self.memory.as_dense_mut() {
+            bipolarize_rows(m);
         }
     }
 
@@ -323,7 +435,7 @@ impl Classifier for OnlineHd {
     }
 
     fn scores_batch(&self, x: &Matrix) -> Matrix {
-        chunked_unit_scores(&self.encoder, &self.class_hvs, x)
+        chunked_scores(&self.encoder, &self.memory, x)
     }
 
     fn predict_batch(&self, x: &Matrix) -> Vec<usize> {
@@ -331,9 +443,25 @@ impl Classifier for OnlineHd {
     }
 }
 
+/// Exposes the dense f32 rows (none for quantized models; use
+/// [`crate::Model::inject_bitflips`] for every precision).
 impl Perturbable for OnlineHd {
     fn param_buffers_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.class_hvs.as_mut_slice()]
+        self.memory
+            .as_dense_mut()
+            .map(Matrix::as_mut_slice)
+            .into_iter()
+            .collect()
+    }
+}
+
+/// Bipolarizes every row of `m` in place and re-normalizes it.
+pub(crate) fn bipolarize_rows(m: &mut Matrix) {
+    for r in 0..m.rows() {
+        let row = m.row_mut(r);
+        let q = hdc::ops::to_bipolar(row);
+        row.copy_from_slice(&q);
+        hdc::ops::normalize_inplace(row);
     }
 }
 
@@ -414,22 +542,22 @@ pub(crate) fn score_chunk() -> usize {
     linalg::autotune::score_chunk()
 }
 
-/// The fused batched scoring pipeline for single-matrix classifiers:
+/// The fused batched scoring pipeline for single-memory classifiers:
 /// encode `x` in row chunks through a reused buffer, score each chunk
-/// against the unit-norm class rows, and assemble the `samples × classes`
+/// against the class memory, and assemble the `samples × classes`
 /// result. Row-identical to encoding and scoring one sample at a time.
-pub(crate) fn chunked_unit_scores(
+pub(crate) fn chunked_scores(
     encoder: &SinusoidEncoder,
-    class_hvs: &Matrix,
+    memory: &ClassMemory,
     x: &Matrix,
 ) -> Matrix {
-    let mut out = Matrix::zeros(x.rows(), class_hvs.rows());
+    let mut out = Matrix::zeros(x.rows(), memory.rows());
     let mut zbuf = Matrix::zeros(0, 0);
     let mut start = 0;
     while start < x.rows() {
         let end = (start + score_chunk()).min(x.rows());
         encoder.encode_batch_into(&x.slice_rows(start, end), &mut zbuf);
-        let sims = scores_unit_classes_batch(class_hvs, &zbuf);
+        let sims = memory.score_chunk(&zbuf, 0..zbuf.cols());
         for r in 0..sims.rows() {
             out.row_mut(start + r).copy_from_slice(sims.row(r));
         }

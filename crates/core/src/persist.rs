@@ -7,17 +7,33 @@
 //! stale blobs fail loudly instead of mis-deserializing.
 //!
 //! ```text
-//! blob     := magic:u32 version:u8 kind:u8 payload
-//! matrix   := rows:u64 cols:u64 f32[rows·cols]
-//! vec<f32> := len:u64 f32[len]
-//! vec<u64> := len:u64 u64[len]          (v2+)
-//! vec<i8>  := len:u64 i8[len]           (v4+)
-//! packed   := rows:u64 dim:u64 vec<u64> (v2+, bitpacked sign matrices)
-//! i8rows   := rows:u64 cols:u64 vec<f32> vec<i8>  (v4+, scaled int8 rows)
-//! encoder  := matrix vec<f32>           (stored projection + bias)
-//!           | remat:u64(=u64::MAX) dim:u64 input_len:u64 bandwidth:f32
-//!             seed:u64                  (v4+, rematerialized recipe)
+//! blob      := magic:u32 version:u8(=5) kind:u8 model
+//! model     := online | boost | centroid          (kind 1 | 2 | 3)
+//! online    := dim:u64 lr:f32 epochs:u64 bootstrap:u8 seed:u64
+//!              refit_epochs:u64 classes:u64 encoder memory
+//! centroid  := classes:u64 encoder memory
+//! boost     := dim_total:u64 n_learners:u64 lr:f32 epochs:u64
+//!              bootstrap:u8 voting:u8 mode:u8 sample_mode:u8
+//!              shrinkage:f64 weight_clamp:f64 balanced_init:u8 seed:u64
+//!              refit_epochs:u64 classes:u64 encoder
+//!              errors:u64 f64[errors] learners:u64 learner[learners]
+//! learner   := alpha:f32 seg_start:u64 seg_end:u64 memory
+//!              (0:u8 | 1:u8 encoder)                (private encoder)
+//! memory    := 0:u8 matrix                        (f32 rows)
+//!            | 1:u8 rows:u64 cols:u64 vec<f32> vec<i8>  (int8 rows + scales)
+//!            | 2:u8 packed                        (1-bit sign words)
+//! matrix    := rows:u64 cols:u64 f32[rows·cols]
+//! packed    := rows:u64 dim:u64 vec<u64>
+//! vec<T>    := len:u64 T[len]
+//! encoder   := matrix vec<f32>                    (stored projection + bias)
+//!            | remat:u64(=u64::MAX) dim:u64 input_len:u64 bandwidth:f32
+//!              seed:u64                           (rematerialized recipe)
 //! ```
+//!
+//! A model's precision is the tag in front of each class memory; a
+//! BoostHD ensemble stores every learner at the same precision. Readers
+//! accept exactly version 5: blobs of any other version are rejected with
+//! an error naming both versions, never reinterpreted.
 //!
 //! The same grammar also serializes in a **heap-mode** split (see
 //! [`Writer::new_with_heap`]): every length-prefixed array body moves to a
@@ -35,14 +51,6 @@
 //! and the writer hands the encoder itself out separately
 //! ([`Writer::into_parts`]), so the store can keep one encoder record
 //! that every model and ladder tier built on that encoder shares.
-//!
-//! Version history: **v1** stored only the dense-f32 models (kinds 1–2);
-//! **v2** adds the bitpacked inference models (kinds 3–4); **v3** adds the
-//! centroid model (kind 5); **v4** adds the scaled-int8 inference models
-//! (kinds 6–7) and the rematerialized-encoder recipe (a `u64::MAX` row
-//! sentinel where a stored projection's row count would sit, so
-//! stored-encoder payloads stay byte-identical to v1). Every version keeps
-//! the earlier layouts unchanged, so old blobs remain readable.
 //!
 //! # Example
 //!
@@ -65,11 +73,11 @@
 //! ```
 
 use crate::boost::{BoostHd, BoostHdConfig, EnsembleMode, SampleMode, Voting};
+use crate::centroid::CentroidHd;
 use crate::classifier::Classifier;
 use crate::error::{BoostHdError, Result};
+use crate::memory::{ClassMemory, I8Rows, Precision};
 use crate::online::{OnlineHd, OnlineHdConfig};
-use crate::quantized::{QuantizedBoostHd, QuantizedHd, QuantizedWeakLearner};
-use crate::quantized_i8::{I8Rows, QuantizedI8BoostHd, QuantizedI8Hd, QuantizedI8WeakLearner};
 use hdc::backend::PackedMatrix;
 use hdc::encoder::{RematSpec, SinusoidEncoder};
 use linalg::{Blob, Matrix, SharedSlice, Storage};
@@ -77,33 +85,21 @@ use std::sync::Arc;
 
 /// `"BHD1"` little-endian.
 const MAGIC: u32 = 0x3144_4842;
-/// Bump on any incompatible layout change; readers accept every version
-/// back to [`MIN_VERSION`] whose layout for the requested kind is known.
-const VERSION: u8 = 4;
-/// Oldest readable blob version.
-const MIN_VERSION: u8 = 1;
+/// The one blob version this build reads and writes; bump on any layout
+/// change.
+const VERSION: u8 = 5;
 const KIND_ONLINE: u8 = 1;
 const KIND_BOOST: u8 = 2;
-/// Bitpacked single-learner model ([`QuantizedHd`]); requires v2.
-const KIND_QUANT_ONLINE: u8 = 3;
-/// Bitpacked boosted ensemble ([`QuantizedBoostHd`]); requires v2.
-const KIND_QUANT_BOOST: u8 = 4;
-/// Single-pass centroid model ([`crate::CentroidHd`]); requires v3.
-const KIND_CENTROID: u8 = 5;
-/// Scaled-int8 single-learner model ([`QuantizedI8Hd`]); requires v4.
-const KIND_QUANT_I8_ONLINE: u8 = 6;
-/// Scaled-int8 boosted ensemble ([`QuantizedI8BoostHd`]); requires v4.
-const KIND_QUANT_I8_BOOST: u8 = 7;
+const KIND_CENTROID: u8 = 3;
 
 /// Row-count sentinel marking a rematerialized-encoder recipe where a
 /// stored projection's `rows:u64` would sit (no real projection has
-/// `u64::MAX` rows, and v1–v3 readers fail loudly on it).
+/// `u64::MAX` rows).
 const REMAT_SENTINEL: u64 = u64::MAX;
 
 /// Row-count sentinel marking a reference to a stored encoder kept
 /// outside the stream (the `index`-th encoder of [`Writer::into_parts`]).
-/// Only heap-mode streams (the fleet model store) emit it, so plain BHD1
-/// file blobs stay byte-identical to v4.
+/// Only heap-mode streams (the fleet model store) emit it.
 const ENCODER_REF_SENTINEL: u64 = u64::MAX - 1;
 
 fn persist_err(reason: impl Into<String>) -> BoostHdError {
@@ -239,7 +235,7 @@ impl Writer {
         }
     }
 
-    /// Appends a length-prefixed `i8` slice (v4+).
+    /// Appends a length-prefixed `i8` slice.
     pub fn put_i8_slice(&mut self, v: &[i8]) {
         self.put_u64(v.len() as u64);
         if self.heap.is_some() {
@@ -520,7 +516,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a length-prefixed `i8` vector (v4+).
+    /// Reads a length-prefixed `i8` vector.
     ///
     /// # Errors
     ///
@@ -659,29 +655,14 @@ fn put_header(w: &mut Writer, kind: u8) {
     w.put_u8(kind);
 }
 
-fn check_header(r: &mut Reader<'_>, kind: u8) -> Result<u8> {
+fn check_header(r: &mut Reader<'_>, kind: u8) -> Result<()> {
     if r.get_u32()? != MAGIC {
         return Err(persist_err("not a BoostHD model blob (bad magic)"));
     }
     let version = r.get_u8()?;
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(persist_err(format!(
-            "unsupported model blob version {version} (supported {MIN_VERSION}..={VERSION})"
-        )));
-    }
-    if version < 2 && kind >= KIND_QUANT_ONLINE {
-        return Err(persist_err(format!(
-            "model kind {kind} requires blob version 2, got {version}"
-        )));
-    }
-    if version < 3 && kind == KIND_CENTROID {
-        return Err(persist_err(format!(
-            "model kind {kind} requires blob version 3, got {version}"
-        )));
-    }
-    if version < 4 && kind >= KIND_QUANT_I8_ONLINE {
-        return Err(persist_err(format!(
-            "model kind {kind} requires blob version 4, got {version}"
+            "unsupported model blob version {version} (this build reads version {VERSION} only)"
         )));
     }
     let got = r.get_u8()?;
@@ -690,7 +671,7 @@ fn check_header(r: &mut Reader<'_>, kind: u8) -> Result<u8> {
             "blob holds model kind {got}, expected {kind}"
         )));
     }
-    Ok(version)
+    Ok(())
 }
 
 fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
@@ -749,14 +730,9 @@ pub(crate) fn encoder_from_parts(
     SinusoidEncoder::from_parts_transposed(projection_t, bias).map_err(BoostHdError::from)
 }
 
-fn get_encoder(r: &mut Reader<'_>, version: u8) -> Result<SinusoidEncoder> {
+fn get_encoder(r: &mut Reader<'_>) -> Result<SinusoidEncoder> {
     let rows = r.get_u64()?;
     if rows == REMAT_SENTINEL {
-        if version < 4 {
-            return Err(persist_err(format!(
-                "rematerialized encoder requires blob version 4, got {version}"
-            )));
-        }
         let spec = RematSpec {
             dim: r.get_len()?,
             input_len: r.get_len()?,
@@ -775,7 +751,7 @@ fn get_encoder(r: &mut Reader<'_>, version: u8) -> Result<SinusoidEncoder> {
         });
     }
     // Stored projection: `rows` was the matrix row count — finish reading
-    // the v1-layout matrix in place.
+    // the matrix in place.
     let rows = usize::try_from(rows).map_err(|_| persist_err("length overflows usize"))?;
     let cols = r.get_len()?;
     let n = rows
@@ -787,32 +763,110 @@ fn get_encoder(r: &mut Reader<'_>, version: u8) -> Result<SinusoidEncoder> {
     SinusoidEncoder::from_parts(projection, bias).map_err(BoostHdError::from)
 }
 
-fn put_i8_rows(w: &mut Writer, rows: &I8Rows) {
-    w.put_u64(rows.rows() as u64);
-    w.put_u64(rows.cols() as u64);
-    w.put_f32_slice(rows.scales());
-    w.put_i8_slice(rows.data());
+fn precision_code(p: Precision) -> u8 {
+    match p {
+        Precision::F32 => 0,
+        Precision::Int8 => 1,
+        Precision::Binary => 2,
+    }
 }
 
-fn get_i8_rows(r: &mut Reader<'_>) -> Result<I8Rows> {
-    let rows = r.get_len()?;
-    let cols = r.get_len()?;
-    let scales = r.get_f32_vec()?;
-    let data = r.get_i8_storage()?;
-    if scales.len() != rows {
-        return Err(persist_err("int8 scale count disagrees with row count"));
+/// Writes a class memory: its precision tag, then the rows in that
+/// precision's layout.
+fn put_memory(w: &mut Writer, memory: &ClassMemory) {
+    w.put_u8(precision_code(memory.precision()));
+    match memory {
+        ClassMemory::Dense(m) => w.put_matrix(m),
+        ClassMemory::Int8(rows) => {
+            w.put_u64(rows.rows() as u64);
+            w.put_u64(rows.cols() as u64);
+            w.put_f32_slice(rows.scales());
+            w.put_i8_slice(rows.data());
+        }
+        ClassMemory::Packed(m) => w.put_packed_matrix(m),
     }
-    I8Rows::from_storage(data, scales, cols)
 }
+
+fn get_memory(r: &mut Reader<'_>) -> Result<ClassMemory> {
+    Ok(match r.get_u8()? {
+        0 => ClassMemory::Dense(r.get_matrix()?),
+        1 => {
+            let rows = r.get_len()?;
+            let cols = r.get_len()?;
+            let scales = r.get_f32_vec()?;
+            let data = r.get_i8_storage()?;
+            if scales.len() != rows {
+                return Err(persist_err("int8 scale count disagrees with row count"));
+            }
+            ClassMemory::Int8(I8Rows::from_storage(data, scales, cols)?)
+        }
+        2 => ClassMemory::Packed(r.get_packed_matrix()?),
+        other => {
+            return Err(persist_err(format!(
+                "unknown class-memory precision tag {other}"
+            )))
+        }
+    })
+}
+
+/// The byte-level entry points every model family shares, around its
+/// `encode_into`/`decode_from` body.
+macro_rules! impl_blob_io {
+    ($ty:ty) => {
+        impl $ty {
+            /// Serializes the trained model to the compact binary format.
+            pub fn to_bytes(&self) -> Vec<u8> {
+                let mut w = Writer::new();
+                self.encode_into(&mut w);
+                w.into_bytes()
+            }
+
+            /// Deserializes a model written by `to_bytes`.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`BoostHdError::DataMismatch`] for truncated,
+            /// corrupt, wrong-version, or wrong-kind blobs.
+            pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+                let mut r = Reader::new(bytes);
+                let model = Self::decode_from(&mut r)?;
+                if !r.is_exhausted() {
+                    return Err(persist_err("trailing bytes after model blob"));
+                }
+                Ok(model)
+            }
+
+            /// Writes the model to a file atomically (temp sibling, fsync,
+            /// rename), so a crash mid-save never leaves a torn file at
+            /// `path`.
+            ///
+            /// # Errors
+            ///
+            /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O
+            /// failure.
+            pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
+                atomic_write(path.as_ref(), &self.to_bytes())
+                    .map_err(|e| persist_err(e.to_string()))
+            }
+
+            /// Reads a model written by `save`.
+            ///
+            /// # Errors
+            ///
+            /// As `from_bytes`, plus I/O failures.
+            pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
+                let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
+                Self::from_bytes(&bytes)
+            }
+        }
+    };
+}
+
+impl_blob_io!(OnlineHd);
+impl_blob_io!(CentroidHd);
+impl_blob_io!(BoostHd);
 
 impl OnlineHd {
-    /// Serializes the trained model to the compact binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
     /// Writes the full model blob (header included) into `w` — the body
     /// shared by [`OnlineHd::to_bytes`] and the fleet store's heap-mode
     /// records.
@@ -824,126 +878,53 @@ impl OnlineHd {
         w.put_u64(c.epochs as u64);
         w.put_u8(c.bootstrap as u8);
         w.put_u64(c.seed);
+        w.put_u64(c.refit_epochs as u64);
         w.put_u64(self.num_classes() as u64);
         put_encoder(w, self.encoder());
-        w.put_matrix(self.class_hypervectors());
-    }
-
-    /// Deserializes a model written by [`OnlineHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
+        put_memory(w, self.class_memory());
     }
 
     /// Decodes a full model blob from `r` — the body shared by
     /// [`OnlineHd::from_bytes`] and the fleet store's shared-mode reads
     /// (exhaustion is the caller's check).
     pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_ONLINE)?;
-        let config = OnlineHdConfig {
+        check_header(r, KIND_ONLINE)?;
+        let mut config = OnlineHdConfig {
             dim: r.get_len()?,
             lr: r.get_f32()?,
             epochs: r.get_len()?,
             bootstrap: r.get_u8()? != 0,
             seed: r.get_u64()?,
+            refit_epochs: r.get_len()?,
+            ..OnlineHdConfig::default()
         };
         let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let class_hvs = r.get_matrix()?;
-        if class_hvs.rows() != num_classes || class_hvs.cols() != config.dim {
-            return Err(persist_err("class hypervector shape disagrees with header"));
+        let encoder = get_encoder(r)?;
+        let memory = get_memory(r)?;
+        if memory.dim() != config.dim {
+            return Err(persist_err("class memory width disagrees with header"));
         }
-        Ok(Self::from_parts(encoder, class_hvs, num_classes, config))
-    }
-
-    /// Writes the model to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads a model written by [`OnlineHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
+        config.precision = memory.precision();
+        Self::from_parts(encoder, memory, num_classes, config)
     }
 }
 
-impl crate::CentroidHd {
-    /// Serializes the trained model to the compact binary format (v3).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
+impl CentroidHd {
     /// Full-blob encode body shared with the fleet store.
     pub(crate) fn encode_into(&self, w: &mut Writer) {
         put_header(w, KIND_CENTROID);
         w.put_u64(self.num_classes() as u64);
         put_encoder(w, self.encoder());
-        w.put_matrix(self.class_hypervectors());
-    }
-
-    /// Deserializes a model written by [`crate::CentroidHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
+        put_memory(w, self.class_memory());
     }
 
     /// Full-blob decode body shared with the fleet store.
     pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_CENTROID)?;
+        check_header(r, KIND_CENTROID)?;
         let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let class_hvs = r.get_matrix()?;
-        Self::from_parts(encoder, class_hvs, num_classes)
-    }
-
-    /// Writes the model to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads a model written by [`crate::CentroidHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`crate::CentroidHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
+        let encoder = get_encoder(r)?;
+        let memory = get_memory(r)?;
+        Self::from_parts(encoder, memory, num_classes)
     }
 }
 
@@ -993,13 +974,6 @@ fn sample_from(tag: u8) -> Result<SampleMode> {
 }
 
 impl BoostHd {
-    /// Serializes the trained ensemble to the compact binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
     /// Full-blob encode body shared with the fleet store.
     pub(crate) fn encode_into(&self, w: &mut Writer) {
         put_header(w, KIND_BOOST);
@@ -1016,6 +990,7 @@ impl BoostHd {
         w.put_f64(c.weight_clamp);
         w.put_u8(c.class_balanced_init as u8);
         w.put_u64(c.seed);
+        w.put_u64(c.refit_epochs as u64);
         w.put_u64(self.num_classes() as u64);
         put_encoder(w, self.encoder());
         w.put_u64(self.training_errors().len() as u64);
@@ -1028,7 +1003,7 @@ impl BoostHd {
             w.put_f32(alpha);
             w.put_u64(start as u64);
             w.put_u64(end as u64);
-            w.put_matrix(self.learner_class_hypervectors(i));
+            put_memory(w, self.learner_class_memory(i));
             match own_encoder {
                 None => w.put_u8(0),
                 Some(enc) => {
@@ -1039,25 +1014,10 @@ impl BoostHd {
         }
     }
 
-    /// Deserializes an ensemble written by [`BoostHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
-    }
-
     /// Full-blob decode body shared with the fleet store.
     pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_BOOST)?;
-        let config = BoostHdConfig {
+        check_header(r, KIND_BOOST)?;
+        let mut config = BoostHdConfig {
             dim_total: r.get_len()?,
             n_learners: r.get_len()?,
             lr: r.get_f32()?,
@@ -1070,9 +1030,11 @@ impl BoostHd {
             weight_clamp: r.get_f64()?,
             class_balanced_init: r.get_u8()? != 0,
             seed: r.get_u64()?,
+            refit_epochs: r.get_len()?,
+            ..BoostHdConfig::default()
         };
         let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
+        let encoder = get_encoder(r)?;
         let n_errors = r.get_len()?;
         let mut train_errors = Vec::with_capacity(n_errors.min(1 << 16));
         for _ in 0..n_errors {
@@ -1087,357 +1049,18 @@ impl BoostHd {
             let alpha = r.get_f32()?;
             let start = r.get_len()?;
             let end = r.get_len()?;
-            let class_hvs = r.get_matrix()?;
-            if class_hvs.rows() != num_classes {
-                return Err(persist_err("learner class count disagrees with header"));
-            }
+            let memory = get_memory(r)?;
             let own_encoder = match r.get_u8()? {
                 0 => None,
-                1 => Some(get_encoder(r, version)?),
+                1 => Some(get_encoder(r)?),
                 other => return Err(persist_err(format!("unknown encoder tag {other}"))),
             };
-            learners.push((alpha, start, end, class_hvs, own_encoder));
+            learners.push((alpha, start, end, memory, own_encoder));
+        }
+        if let Some((_, _, _, memory, _)) = learners.first() {
+            config.precision = memory.precision();
         }
         Self::from_parts(encoder, learners, num_classes, config, train_errors)
-    }
-
-    /// Writes the ensemble to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads an ensemble written by [`BoostHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`BoostHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-impl QuantizedHd {
-    /// Serializes the bitpacked model to the compact binary format (v2).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Full-blob encode body shared with the fleet store.
-    pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_QUANT_ONLINE);
-        w.put_u64(self.num_classes() as u64);
-        put_encoder(w, self.encoder());
-        w.put_packed_matrix(self.class_bits());
-    }
-
-    /// Deserializes a model written by [`QuantizedHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
-    }
-
-    /// Full-blob decode body shared with the fleet store.
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_QUANT_ONLINE)?;
-        let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let class_bits = r.get_packed_matrix()?;
-        Self::from_parts(encoder, class_bits, num_classes)
-    }
-
-    /// Writes the model to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads a model written by [`QuantizedHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-impl QuantizedBoostHd {
-    /// Serializes the bitpacked ensemble to the compact binary format (v2).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Full-blob encode body shared with the fleet store.
-    pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_QUANT_BOOST);
-        w.put_u64(self.dim_total() as u64);
-        w.put_u8(voting_tag(self.voting()));
-        w.put_u64(self.num_classes() as u64);
-        put_encoder(w, self.encoder());
-        w.put_u64(self.num_learners() as u64);
-        for i in 0..self.num_learners() {
-            let (class_bits, alpha, start, end, own_encoder) = self.learner_parts(i);
-            w.put_f32(alpha);
-            w.put_u64(start as u64);
-            w.put_u64(end as u64);
-            w.put_packed_matrix(class_bits);
-            match own_encoder {
-                None => w.put_u8(0),
-                Some(enc) => {
-                    w.put_u8(1);
-                    put_encoder(w, enc);
-                }
-            }
-        }
-    }
-
-    /// Deserializes an ensemble written by [`QuantizedBoostHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
-    }
-
-    /// Full-blob decode body shared with the fleet store.
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_QUANT_BOOST)?;
-        let dim_total = r.get_len()?;
-        let voting = voting_from(r.get_u8()?)?;
-        let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let n_learners = r.get_len()?;
-        let mut learners = Vec::with_capacity(n_learners.min(1 << 16));
-        for _ in 0..n_learners {
-            let alpha = r.get_f32()?;
-            let seg_start = r.get_len()?;
-            let seg_end = r.get_len()?;
-            let class_bits = r.get_packed_matrix()?;
-            let own_encoder = match r.get_u8()? {
-                0 => None,
-                1 => Some(get_encoder(r, version)?),
-                other => return Err(persist_err(format!("unknown encoder tag {other}"))),
-            };
-            learners.push(QuantizedWeakLearner {
-                class_bits,
-                alpha,
-                seg_start,
-                seg_end,
-                own_encoder,
-            });
-        }
-        Self::from_parts(encoder, learners, num_classes, voting, dim_total)
-    }
-
-    /// Writes the ensemble to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads an ensemble written by [`QuantizedBoostHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedBoostHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-impl QuantizedI8Hd {
-    /// Serializes the scaled-int8 model to the compact binary format (v4).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Full-blob encode body shared with the fleet store.
-    pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_QUANT_I8_ONLINE);
-        w.put_u64(self.num_classes() as u64);
-        put_encoder(w, self.encoder());
-        put_i8_rows(w, self.classes());
-    }
-
-    /// Deserializes a model written by [`QuantizedI8Hd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
-    }
-
-    /// Full-blob decode body shared with the fleet store.
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_QUANT_I8_ONLINE)?;
-        let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let classes = get_i8_rows(r)?;
-        Self::from_parts(encoder, classes, num_classes)
-    }
-
-    /// Writes the model to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads a model written by [`QuantizedI8Hd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedI8Hd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
-    }
-}
-
-impl QuantizedI8BoostHd {
-    /// Serializes the scaled-int8 ensemble to the compact binary format
-    /// (v4).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.into_bytes()
-    }
-
-    /// Full-blob encode body shared with the fleet store.
-    pub(crate) fn encode_into(&self, w: &mut Writer) {
-        put_header(w, KIND_QUANT_I8_BOOST);
-        w.put_u64(self.dim_total() as u64);
-        w.put_u8(voting_tag(self.voting()));
-        w.put_u64(self.num_classes() as u64);
-        put_encoder(w, self.encoder());
-        w.put_u64(self.num_learners() as u64);
-        for learner in self.learners() {
-            w.put_f32(learner.alpha);
-            w.put_u64(learner.seg_start as u64);
-            w.put_u64(learner.seg_end as u64);
-            put_i8_rows(w, &learner.classes);
-            match &learner.own_encoder {
-                None => w.put_u8(0),
-                Some(enc) => {
-                    w.put_u8(1);
-                    put_encoder(w, enc);
-                }
-            }
-        }
-    }
-
-    /// Deserializes an ensemble written by
-    /// [`QuantizedI8BoostHd::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] for truncated, corrupt, or
-    /// wrong-kind blobs.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
-        let model = Self::decode_from(&mut r)?;
-        if !r.is_exhausted() {
-            return Err(persist_err("trailing bytes after model blob"));
-        }
-        Ok(model)
-    }
-
-    /// Full-blob decode body shared with the fleet store.
-    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
-        let version = check_header(r, KIND_QUANT_I8_BOOST)?;
-        let dim_total = r.get_len()?;
-        let voting = voting_from(r.get_u8()?)?;
-        let num_classes = r.get_len()?;
-        let encoder = get_encoder(r, version)?;
-        let n_learners = r.get_len()?;
-        let mut learners = Vec::with_capacity(n_learners.min(1 << 16));
-        for _ in 0..n_learners {
-            let alpha = r.get_f32()?;
-            let seg_start = r.get_len()?;
-            let seg_end = r.get_len()?;
-            let classes = get_i8_rows(r)?;
-            let own_encoder = match r.get_u8()? {
-                0 => None,
-                1 => Some(get_encoder(r, version)?),
-                other => return Err(persist_err(format!("unknown encoder tag {other}"))),
-            };
-            learners.push(QuantizedI8WeakLearner {
-                classes,
-                alpha,
-                seg_start,
-                seg_end,
-                own_encoder,
-            });
-        }
-        Self::from_parts(encoder, learners, num_classes, voting, dim_total)
-    }
-
-    /// Writes the ensemble to a file (atomically: temp sibling + fsync +
-    /// rename, so a crash mid-save never leaves a torn file at `path`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O failure.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-        atomic_write(path.as_ref(), &self.to_bytes()).map_err(|e| persist_err(e.to_string()))
-    }
-
-    /// Reads an ensemble written by [`QuantizedI8BoostHd::save`].
-    ///
-    /// # Errors
-    ///
-    /// As [`QuantizedI8BoostHd::from_bytes`], plus I/O failures.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-        let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-        Self::from_bytes(&bytes)
     }
 }
 
@@ -1550,22 +1173,18 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn quantized_onlinehd_round_trips() {
+    fn online_at(precision: Precision, dim: usize) -> (OnlineHd, Matrix) {
         let (x, y) = toy();
         let config = OnlineHdConfig {
-            dim: 96,
+            dim,
             epochs: 4,
             ..Default::default()
         };
-        let quantized = OnlineHd::fit(&config, &x, &y).unwrap().quantize();
-        let restored = QuantizedHd::from_bytes(&quantized.to_bytes()).unwrap();
-        assert_eq!(quantized.predict_batch(&x), restored.predict_batch(&x));
-        assert_eq!(quantized.class_bits(), restored.class_bits());
+        let model = OnlineHd::fit(&config, &x, &y).unwrap();
+        (model.with_precision(precision).unwrap(), x)
     }
 
-    #[test]
-    fn quantized_boosthd_round_trips() {
+    fn boost_at(precision: Precision) -> (BoostHd, Matrix) {
         let (x, y) = toy();
         let config = BoostHdConfig {
             dim_total: 120,
@@ -1573,87 +1192,102 @@ mod tests {
             epochs: 3,
             ..Default::default()
         };
-        let quantized = BoostHd::fit(&config, &x, &y).unwrap().quantize();
-        let restored = QuantizedBoostHd::from_bytes(&quantized.to_bytes()).unwrap();
-        assert_eq!(quantized.predict_batch(&x), restored.predict_batch(&x));
-        assert_eq!(quantized.alphas(), restored.alphas());
-        assert_eq!(quantized.voting(), restored.voting());
-        assert_eq!(quantized.dim_total(), restored.dim_total());
+        let model = BoostHd::fit(&config, &x, &y).unwrap();
+        (model.with_precision(precision).unwrap(), x)
     }
 
     #[test]
-    fn quantized_blob_kinds_are_disjoint_from_f32_kinds() {
+    fn quantized_onlinehd_round_trips() {
+        let (quantized, x) = online_at(Precision::Binary, 96);
+        let restored = OnlineHd::from_bytes(&quantized.to_bytes()).unwrap();
+        assert_eq!(quantized.predict_batch(&x), restored.predict_batch(&x));
+        assert_eq!(restored.precision(), Precision::Binary);
+        assert_eq!(restored.config(), quantized.config());
+        let (ClassMemory::Packed(a), ClassMemory::Packed(b)) =
+            (quantized.class_memory(), restored.class_memory())
+        else {
+            panic!("binary models store packed memories");
+        };
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn quantized_boosthd_round_trips() {
+        let (quantized, x) = boost_at(Precision::Binary);
+        let restored = BoostHd::from_bytes(&quantized.to_bytes()).unwrap();
+        assert_eq!(quantized.predict_batch(&x), restored.predict_batch(&x));
+        assert_eq!(quantized.alphas(), restored.alphas());
+        assert_eq!(quantized.config(), restored.config());
+        assert_eq!(restored.precision(), Precision::Binary);
+    }
+
+    #[test]
+    fn precision_tag_is_persisted_and_validated() {
+        // A rematerialized encoder has a fixed 36-byte recipe, which puts
+        // the class-memory precision tag at a known offset: header (6),
+        // config (37), class count (8), encoder (36).
         let (x, y) = toy();
         let config = OnlineHdConfig {
             dim: 32,
             epochs: 2,
             ..Default::default()
         };
-        let model = OnlineHd::fit(&config, &x, &y).unwrap();
-        let quantized = model.quantize();
-        assert!(OnlineHd::from_bytes(&quantized.to_bytes()).is_err());
-        assert!(QuantizedHd::from_bytes(&model.to_bytes()).is_err());
+        let mut model = OnlineHd::fit(&config, &x, &y).unwrap();
+        model.rematerialize_encoder().unwrap();
+        const TAG: usize = 6 + 37 + 8 + 36;
+        for (precision, tag) in [
+            (Precision::F32, 0u8),
+            (Precision::Int8, 1),
+            (Precision::Binary, 2),
+        ] {
+            let mut bytes = model.with_precision(precision).unwrap().to_bytes();
+            assert_eq!(bytes[TAG], tag, "{precision:?}");
+            assert_eq!(OnlineHd::from_bytes(&bytes).unwrap().precision(), precision);
+            bytes[TAG] = 7;
+            let err = OnlineHd::from_bytes(&bytes).unwrap_err();
+            assert!(err.to_string().contains("precision tag 7"), "{err}");
+        }
     }
 
     #[test]
     fn truncated_quantized_blob_is_rejected() {
-        let (x, y) = toy();
-        let config = OnlineHdConfig {
-            dim: 32,
-            epochs: 2,
-            ..Default::default()
-        };
-        let quantized = OnlineHd::fit(&config, &x, &y).unwrap().quantize();
+        let (quantized, _) = online_at(Precision::Binary, 32);
         let bytes = quantized.to_bytes();
         for cut in (0..bytes.len()).step_by(bytes.len() / 7 + 1) {
-            assert!(QuantizedHd::from_bytes(&bytes[..cut]).is_err());
+            assert!(OnlineHd::from_bytes(&bytes[..cut]).is_err());
         }
     }
 
     #[test]
     fn v1_header_is_rejected_for_quantized_kinds() {
-        let (x, y) = toy();
-        let config = OnlineHdConfig {
-            dim: 32,
-            epochs: 2,
-            ..Default::default()
-        };
-        let quantized = OnlineHd::fit(&config, &x, &y).unwrap().quantize();
+        let (quantized, _) = online_at(Precision::Binary, 32);
         let mut bytes = quantized.to_bytes();
         bytes[4] = 1; // version byte: pretend this is a v1 blob
-        let err = QuantizedHd::from_bytes(&bytes).unwrap_err();
-        assert!(err.to_string().contains("requires blob version 2"), "{err}");
+        let err = OnlineHd::from_bytes(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported model blob version 1"),
+            "{err}"
+        );
     }
 
     #[test]
-    fn v1_dense_blobs_remain_readable() {
-        // The writer emits the same payload layout for kinds 1–2 as v1 did
-        // (a stored encoder serializes byte-identically); a blob re-stamped
-        // as v1 must still load.
-        let (x, y) = toy();
-        let config = OnlineHdConfig {
-            dim: 32,
-            epochs: 2,
-            ..Default::default()
-        };
-        let model = OnlineHd::fit(&config, &x, &y).unwrap();
+    fn older_blob_versions_are_rejected() {
+        // Every earlier layout fails loudly instead of being reinterpreted
+        // under the current grammar.
+        let (model, _) = online_at(Precision::F32, 32);
         let mut bytes = model.to_bytes();
-        assert_eq!(bytes[4], 4, "current writer stamps v4");
-        bytes[4] = 1;
-        let restored = OnlineHd::from_bytes(&bytes).unwrap();
-        assert_eq!(model.predict_batch(&x), restored.predict_batch(&x));
+        assert_eq!(bytes[4], 5, "current writer stamps v5");
+        for old in 1..5u8 {
+            bytes[4] = old;
+            let err = OnlineHd::from_bytes(&bytes).unwrap_err();
+            assert!(err.to_string().contains("reads version 5 only"), "{err}");
+        }
     }
 
     #[test]
     fn quantized_i8_onlinehd_round_trips_bit_identically() {
-        let (x, y) = toy();
-        let config = OnlineHdConfig {
-            dim: 96,
-            epochs: 4,
-            ..Default::default()
-        };
-        let quantized = OnlineHd::fit(&config, &x, &y).unwrap().quantize_i8();
-        let restored = QuantizedI8Hd::from_bytes(&quantized.to_bytes()).unwrap();
+        let (quantized, x) = online_at(Precision::Int8, 96);
+        let restored = OnlineHd::from_bytes(&quantized.to_bytes()).unwrap();
         // Derived norms are recomputed from the stored bytes at load, so
         // the full score surface must match bit-for-bit, not just argmaxes.
         assert_eq!(quantized.scores_batch(&x), restored.scores_batch(&x));
@@ -1665,54 +1299,37 @@ mod tests {
 
     #[test]
     fn quantized_i8_boosthd_round_trips_bit_identically() {
-        let (x, y) = toy();
-        let config = BoostHdConfig {
-            dim_total: 120,
-            n_learners: 6,
-            epochs: 3,
-            ..Default::default()
-        };
-        let quantized = BoostHd::fit(&config, &x, &y).unwrap().quantize_i8();
-        let restored = QuantizedI8BoostHd::from_bytes(&quantized.to_bytes()).unwrap();
+        let (quantized, x) = boost_at(Precision::Int8);
+        let restored = BoostHd::from_bytes(&quantized.to_bytes()).unwrap();
         assert_eq!(quantized.scores_batch(&x), restored.scores_batch(&x));
         assert_eq!(quantized.alphas(), restored.alphas());
-        assert_eq!(quantized.voting(), restored.voting());
-        assert_eq!(quantized.dim_total(), restored.dim_total());
+        assert_eq!(quantized.config(), restored.config());
     }
 
     #[test]
     fn i8_kinds_require_v4() {
-        let (x, y) = toy();
-        let config = OnlineHdConfig {
-            dim: 32,
-            epochs: 2,
-            ..Default::default()
-        };
-        let quantized = OnlineHd::fit(&config, &x, &y).unwrap().quantize_i8();
+        let (quantized, _) = online_at(Precision::Int8, 32);
         let mut bytes = quantized.to_bytes();
-        bytes[4] = 3; // pretend the blob predates the int8 kinds
-        let err = QuantizedI8Hd::from_bytes(&bytes).unwrap_err();
-        assert!(err.to_string().contains("requires blob version 4"), "{err}");
-        // And the kinds stay disjoint from the packed tier.
-        assert!(QuantizedHd::from_bytes(&quantized.to_bytes()).is_err());
+        bytes[4] = 3; // pretend the blob predates the int8 memories
+        let err = OnlineHd::from_bytes(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported model blob version 3"),
+            "{err}"
+        );
+        // An int8 OnlineHD blob is still an OnlineHD blob.
+        assert!(CentroidHd::from_bytes(&quantized.to_bytes()).is_err());
     }
 
     #[test]
     fn truncated_i8_blob_is_rejected() {
-        let (x, y) = toy();
-        let config = OnlineHdConfig {
-            dim: 32,
-            epochs: 2,
-            ..Default::default()
-        };
-        let quantized = OnlineHd::fit(&config, &x, &y).unwrap().quantize_i8();
+        let (quantized, _) = online_at(Precision::Int8, 32);
         let bytes = quantized.to_bytes();
         for cut in (0..bytes.len()).step_by(bytes.len() / 7 + 1) {
-            assert!(QuantizedI8Hd::from_bytes(&bytes[..cut]).is_err());
+            assert!(OnlineHd::from_bytes(&bytes[..cut]).is_err());
         }
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(QuantizedI8Hd::from_bytes(&trailing).is_err());
+        assert!(OnlineHd::from_bytes(&trailing).is_err());
     }
 
     #[test]
@@ -1732,13 +1349,9 @@ mod tests {
             bytes.len()
         );
         let mut r = Reader::new(&bytes);
-        let restored = super::get_encoder(&mut r, VERSION).unwrap();
+        let restored = super::get_encoder(&mut r).unwrap();
         assert!(restored.is_rematerialized());
         assert_eq!(enc.encode_batch(&probe), restored.encode_batch(&probe));
-        // Pre-v4 readers must reject the sentinel loudly.
-        let mut r = Reader::new(&bytes);
-        let err = super::get_encoder(&mut r, 3).unwrap_err();
-        assert!(err.to_string().contains("requires blob version 4"), "{err}");
     }
 
     #[test]
@@ -1751,10 +1364,11 @@ mod tests {
         };
         let mut model = OnlineHd::fit(&config, &x, &y).unwrap();
         model.rematerialize_encoder().unwrap();
-        let quantized = model.quantize_i8();
+        let quantized = model.with_precision(Precision::Int8).unwrap();
         let stored_bytes = OnlineHd::fit(&config, &x, &y)
             .unwrap()
-            .quantize_i8()
+            .with_precision(Precision::Int8)
+            .unwrap()
             .to_bytes();
         let remat_bytes = quantized.to_bytes();
         assert!(
@@ -1763,7 +1377,7 @@ mod tests {
             remat_bytes.len(),
             stored_bytes.len()
         );
-        let restored = QuantizedI8Hd::from_bytes(&remat_bytes).unwrap();
+        let restored = OnlineHd::from_bytes(&remat_bytes).unwrap();
         assert_eq!(quantized.scores_batch(&x), restored.scores_batch(&x));
     }
 
@@ -1774,8 +1388,8 @@ mod tests {
             dim: 96,
             ..Default::default()
         };
-        let model = crate::CentroidHd::fit(&config, &x, &y).unwrap();
-        let restored = crate::CentroidHd::from_bytes(&model.to_bytes()).unwrap();
+        let model = CentroidHd::fit(&config, &x, &y).unwrap();
+        let restored = CentroidHd::from_bytes(&model.to_bytes()).unwrap();
         assert_eq!(model.predict_batch(&x), restored.predict_batch(&x));
         assert_eq!(model.class_hypervectors(), restored.class_hypervectors());
     }
@@ -1787,12 +1401,15 @@ mod tests {
             dim: 64,
             ..Default::default()
         };
-        let model = crate::CentroidHd::fit(&config, &x, &y).unwrap();
+        let model = CentroidHd::fit(&config, &x, &y).unwrap();
         let mut bytes = model.to_bytes();
         assert!(OnlineHd::from_bytes(&bytes).is_err(), "kind is disjoint");
         bytes[4] = 2; // pretend the blob predates the centroid kind
-        let err = crate::CentroidHd::from_bytes(&bytes).unwrap_err();
-        assert!(err.to_string().contains("requires blob version 3"), "{err}");
+        let err = CentroidHd::from_bytes(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported model blob version 2"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1970,7 +1587,10 @@ mod tests {
             epochs: 4,
             ..Default::default()
         };
-        let model = OnlineHd::fit(&config, &x, &y).unwrap().quantize_i8();
+        let model = OnlineHd::fit(&config, &x, &y)
+            .unwrap()
+            .with_precision(Precision::Int8)
+            .unwrap();
         let mut w = Writer::new_with_heap();
         model.encode_into(&mut w);
         let (body, encoders) = w.into_parts();
@@ -1978,13 +1598,13 @@ mod tests {
         let blob = Arc::new(Blob::from_bytes(&body.heap));
         let mut r =
             Reader::new_shared(&body.structure, blob, 0, body.heap.len(), &encoders).unwrap();
-        let restored = QuantizedI8Hd::decode_from(&mut r).unwrap();
+        let restored = OnlineHd::decode_from(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(model.scores_batch(&x), restored.scores_batch(&x));
-        assert!(
-            restored.classes().is_shared(),
-            "int8 class grid must borrow the blob"
-        );
+        let ClassMemory::Int8(rows) = restored.class_memory() else {
+            panic!("int8 model decoded at another precision");
+        };
+        assert!(rows.is_shared(), "int8 class grid must borrow the blob");
     }
 
     #[test]

@@ -51,11 +51,11 @@ use crate::boost::BoostHd;
 use crate::centroid::CentroidHd;
 use crate::classifier::{argmax, predict_batch_chunked, Classifier};
 use crate::error::{BoostHdError, Result};
-use crate::online::OnlineHd;
+use crate::memory::Precision;
+use crate::online::{OnlineHd, OnlineHdConfig};
 use crate::persist::{Reader, RecordParts, Writer};
-use crate::quantized::{QuantizedBoostHd, QuantizedHd};
-use crate::quantized_i8::{QuantizedI8BoostHd, QuantizedI8Hd};
 use crate::spec::{BaselineSpec, ModelSpec};
+use crate::BoostHdConfig;
 use faults::BitflipReport;
 use hdc::encoder::SinusoidEncoder;
 use linalg::autotune::{Tuning, TuningSource};
@@ -68,23 +68,17 @@ fn pipeline_err(reason: impl Into<String>) -> BoostHdError {
     }
 }
 
-/// Which binary payload codec a [`Model`] serializes through.
+/// Which binary payload codec a [`Model`] serializes through: one per HDC
+/// family, whatever the precision of its class memory (the codec records
+/// that itself; see [`crate::persist`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadKind {
-    /// Dense-f32 OnlineHD ([`OnlineHd::to_bytes`]).
+    /// OnlineHD ([`OnlineHd::to_bytes`]).
     OnlineHd,
-    /// Dense-f32 centroid model ([`CentroidHd::to_bytes`]).
+    /// Centroid model ([`CentroidHd::to_bytes`]).
     CentroidHd,
-    /// Dense-f32 boosted ensemble ([`BoostHd::to_bytes`]).
+    /// Boosted ensemble ([`BoostHd::to_bytes`]).
     BoostHd,
-    /// Bitpacked single-learner model ([`QuantizedHd::to_bytes`]).
-    QuantizedHd,
-    /// Bitpacked boosted ensemble ([`QuantizedBoostHd::to_bytes`]).
-    QuantizedBoostHd,
-    /// Int8 single-learner model ([`QuantizedI8Hd::to_bytes`]).
-    QuantizedI8Hd,
-    /// Int8 boosted ensemble ([`QuantizedI8BoostHd::to_bytes`]).
-    QuantizedI8BoostHd,
     /// No binary codec (the classical baselines); saving reports a clear
     /// error instead of writing an unreadable blob.
     Unsupported,
@@ -97,10 +91,6 @@ impl PayloadKind {
             PayloadKind::OnlineHd => 1,
             PayloadKind::CentroidHd => 2,
             PayloadKind::BoostHd => 3,
-            PayloadKind::QuantizedHd => 4,
-            PayloadKind::QuantizedBoostHd => 5,
-            PayloadKind::QuantizedI8Hd => 6,
-            PayloadKind::QuantizedI8BoostHd => 7,
         }
     }
 
@@ -110,11 +100,21 @@ impl PayloadKind {
             1 => PayloadKind::OnlineHd,
             2 => PayloadKind::CentroidHd,
             3 => PayloadKind::BoostHd,
-            4 => PayloadKind::QuantizedHd,
-            5 => PayloadKind::QuantizedBoostHd,
-            6 => PayloadKind::QuantizedI8Hd,
-            7 => PayloadKind::QuantizedI8BoostHd,
             other => return Err(pipeline_err(format!("unknown payload kind {other}"))),
+        })
+    }
+
+    /// Decodes a model of this kind from `r` (full blob, header included).
+    fn decode(self, r: &mut Reader<'_>) -> Result<Box<dyn Model>> {
+        Ok(match self {
+            PayloadKind::OnlineHd => Box::new(OnlineHd::decode_from(r)?),
+            PayloadKind::CentroidHd => Box::new(CentroidHd::decode_from(r)?),
+            PayloadKind::BoostHd => Box::new(BoostHd::decode_from(r)?),
+            PayloadKind::Unsupported => {
+                return Err(pipeline_err(
+                    "no loadable payload (baseline families have no codec)",
+                ))
+            }
         })
     }
 }
@@ -123,8 +123,8 @@ impl PayloadKind {
 /// persistence hooks the envelope needs, object-safe so heterogeneous
 /// model zoos are `Vec<Pipeline>` instead of bespoke enums.
 ///
-/// Implemented by the five HDC models here and by the classical baselines
-/// in the `baselines` crate.
+/// Implemented by the three HDC families here (at every class-memory
+/// precision) and by the classical baselines in the `baselines` crate.
 pub trait Model: Classifier + Send + Sync {
     /// Which binary codec [`Model::to_payload`] writes.
     fn payload_kind(&self) -> PayloadKind;
@@ -136,9 +136,10 @@ pub trait Model: Classifier + Send + Sync {
 
     /// Flips each stored parameter bit independently with probability
     /// `p_b`, drawing flip positions from `rng` — the memory-fault model
-    /// of the paper's Section IV-D. Dense-f32 families take IEEE-754 word
-    /// flips ([`faults::flip_bits`]); bitpacked families take sign-bit
-    /// flips ([`faults::flip_sign_bits`]).
+    /// of the paper's Section IV-D. f32 class memories take IEEE-754 word
+    /// flips ([`faults::flip_bits`]), int8 memories byte flips
+    /// ([`faults::flip_i8_bits`]), and packed 1-bit memories sign-bit flips
+    /// ([`faults::flip_sign_bits`]).
     ///
     /// # Errors
     ///
@@ -177,7 +178,7 @@ pub trait Model: Classifier + Send + Sync {
 }
 
 macro_rules! impl_hdc_model {
-    ($ty:ty, $kind:expr, $inject:path) => {
+    ($ty:ty, $kind:expr) => {
         impl Model for $ty {
             fn payload_kind(&self) -> PayloadKind {
                 $kind
@@ -186,7 +187,7 @@ macro_rules! impl_hdc_model {
                 Box::new(self.clone())
             }
             fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> Result<BitflipReport> {
-                Ok($inject(self, p_b, rng))
+                Ok(<$ty>::inject_bitflips(self, p_b, rng))
             }
             fn to_payload(&self) -> Result<Vec<u8>> {
                 Ok(self.to_bytes())
@@ -205,29 +206,9 @@ macro_rules! impl_hdc_model {
     };
 }
 
-impl_hdc_model!(OnlineHd, PayloadKind::OnlineHd, faults::flip_bits);
-impl_hdc_model!(CentroidHd, PayloadKind::CentroidHd, faults::flip_bits);
-impl_hdc_model!(BoostHd, PayloadKind::BoostHd, faults::flip_bits);
-impl_hdc_model!(
-    QuantizedHd,
-    PayloadKind::QuantizedHd,
-    faults::flip_sign_bits
-);
-impl_hdc_model!(
-    QuantizedBoostHd,
-    PayloadKind::QuantizedBoostHd,
-    faults::flip_sign_bits
-);
-impl_hdc_model!(
-    QuantizedI8Hd,
-    PayloadKind::QuantizedI8Hd,
-    crate::quantized_i8::flip_hd_i8_bits
-);
-impl_hdc_model!(
-    QuantizedI8BoostHd,
-    PayloadKind::QuantizedI8BoostHd,
-    crate::quantized_i8::flip_boost_i8_bits
-);
+impl_hdc_model!(OnlineHd, PayloadKind::OnlineHd);
+impl_hdc_model!(CentroidHd, PayloadKind::CentroidHd);
+impl_hdc_model!(BoostHd, PayloadKind::BoostHd);
 
 /// Builder the `baselines` crate registers so [`Pipeline::fit`] can
 /// construct [`ModelSpec::Baseline`] models without a dependency cycle
@@ -320,16 +301,12 @@ impl Prediction {
 /// `"BHDP"` little-endian — the envelope magic (distinct from the inner
 /// model-blob magic so the two layers cannot be confused).
 const ENVELOPE_MAGIC: u32 = 0x5044_4842;
-/// Envelope version history:
-///
-/// * v1 — magic, version, kind, abstain threshold, spec TOML, payload.
-/// * v2 — inserts the save-time kernel-tuning record
-///   (`score_chunk: u32`, `threads: u32`, [`TuningSource`] tag) after the
-///   abstain threshold, and assigns payload kinds 6/7 to the int8 tier.
-///   Tuning is diagnostic provenance only — predictions never depend on
-///   it — so loading replays nothing; v1 blobs read back with no record.
-const ENVELOPE_VERSION: u8 = 2;
-const ENVELOPE_MIN_VERSION: u8 = 1;
+/// The one envelope version this build reads and writes. Layout: magic,
+/// version, payload kind, abstain threshold, the save-time kernel-tuning
+/// record (`score_chunk: u32`, `threads: u32`, [`TuningSource`] tag),
+/// spec TOML, payload. Tuning is diagnostic provenance only — predictions
+/// never depend on it — so loading replays nothing.
+const ENVELOPE_VERSION: u8 = 3;
 
 /// The unified model facade; see the [module docs](self).
 pub struct Pipeline {
@@ -376,38 +353,6 @@ impl Pipeline {
             ModelSpec::OnlineHd(c) => Box::new(OnlineHd::fit(c, x, y)?),
             ModelSpec::CentroidHd(c) => Box::new(CentroidHd::fit(c, x, y)?),
             ModelSpec::BoostHd(c) => Box::new(BoostHd::fit(c, x, y)?),
-            ModelSpec::QuantizedOnlineHd { base, refit_epochs } => {
-                let dense = OnlineHd::fit(base, x, y)?;
-                Box::new(if *refit_epochs == 0 {
-                    dense.quantize()
-                } else {
-                    dense.quantize_with_refit(x, y, *refit_epochs)?
-                })
-            }
-            ModelSpec::QuantizedBoostHd { base, refit_epochs } => {
-                let dense = BoostHd::fit(base, x, y)?;
-                Box::new(if *refit_epochs == 0 {
-                    dense.quantize()
-                } else {
-                    dense.quantize_with_refit(x, y, *refit_epochs)?
-                })
-            }
-            ModelSpec::QuantizedI8OnlineHd { base, refit_epochs } => {
-                let dense = OnlineHd::fit(base, x, y)?;
-                Box::new(if *refit_epochs == 0 {
-                    dense.quantize_i8()
-                } else {
-                    dense.quantize_i8_with_refit(x, y, *refit_epochs)?
-                })
-            }
-            ModelSpec::QuantizedI8BoostHd { base, refit_epochs } => {
-                let dense = BoostHd::fit(base, x, y)?;
-                Box::new(if *refit_epochs == 0 {
-                    dense.quantize_i8()
-                } else {
-                    dense.quantize_i8_with_refit(x, y, *refit_epochs)?
-                })
-            }
             ModelSpec::Baseline(b) => baseline_builder()?(b, x, y)?,
         };
         Ok(Self {
@@ -416,6 +361,46 @@ impl Pipeline {
             abstain_threshold: 0.0,
             saved_tuning: None,
         })
+    }
+
+    /// A sibling pipeline whose class memory is frozen at `precision`
+    /// (data-free; an identical encoder and the same abstention threshold) —
+    /// one rung of a degrade ladder. The spec records the new precision.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BoostHdError::InvalidConfig`] unless the pipeline holds an
+    /// f32 OnlineHD or BoostHD model (the families whose spec carries a
+    /// precision).
+    pub fn with_precision(&self, precision: Precision) -> Result<Self> {
+        let unsupported = || BoostHdError::InvalidConfig {
+            reason: format!(
+                "`{}` pipelines have no precision ladder (f32 online_hd/boost_hd only)",
+                self.spec.display_name()
+            ),
+        };
+        let (spec, model): (ModelSpec, Box<dyn Model>) = match &self.spec {
+            ModelSpec::OnlineHd(c) => {
+                let m = self.downcast_ref::<OnlineHd>().ok_or_else(unsupported)?;
+                let spec = ModelSpec::OnlineHd(OnlineHdConfig {
+                    precision,
+                    refit_epochs: 0,
+                    ..*c
+                });
+                (spec, Box::new(m.with_precision(precision)?))
+            }
+            ModelSpec::BoostHd(c) => {
+                let m = self.downcast_ref::<BoostHd>().ok_or_else(unsupported)?;
+                let spec = ModelSpec::BoostHd(BoostHdConfig {
+                    precision,
+                    refit_epochs: 0,
+                    ..*c
+                });
+                (spec, Box::new(m.with_precision(precision)?))
+            }
+            _ => return Err(unsupported()),
+        };
+        Ok(Self::from_model(spec, model).with_abstain_threshold(self.abstain_threshold))
     }
 
     /// Wraps an already-trained model with its spec (the load path, and
@@ -432,7 +417,7 @@ impl Pipeline {
     /// The kernel-tuning record the envelope this pipeline was loaded from
     /// carried (the [`linalg::autotune`] result of the machine that saved
     /// it) — provenance for performance triage, never an input to
-    /// prediction. `None` for freshly-fit pipelines and v1 envelopes.
+    /// prediction. `None` for freshly-fit pipelines.
     pub fn saved_tuning(&self) -> Option<Tuning> {
         self.saved_tuning
     }
@@ -628,27 +613,23 @@ impl Pipeline {
             return Err(pipeline_err("not a pipeline envelope (bad magic)"));
         }
         let version = r.get_u8()?;
-        if !(ENVELOPE_MIN_VERSION..=ENVELOPE_VERSION).contains(&version) {
+        if version != ENVELOPE_VERSION {
             return Err(pipeline_err(format!(
-                "unsupported envelope version {version} (supported \
-                 {ENVELOPE_MIN_VERSION}..={ENVELOPE_VERSION})"
+                "unsupported envelope version {version} (this build reads version \
+                 {ENVELOPE_VERSION} only)"
             )));
         }
         let kind = PayloadKind::from_tag(r.get_u8()?)?;
         let abstain_threshold = r.get_f32()?;
-        let saved_tuning = if version >= 2 {
-            let score_chunk = r.get_u32()? as usize;
-            let threads = r.get_u32()? as usize;
-            let source = TuningSource::from_tag(r.get_u8()?)
-                .ok_or_else(|| pipeline_err("unknown tuning-source tag in envelope"))?;
-            Some(Tuning {
-                score_chunk,
-                threads,
-                source,
-            })
-        } else {
-            None
-        };
+        let score_chunk = r.get_u32()? as usize;
+        let threads = r.get_u32()? as usize;
+        let source = TuningSource::from_tag(r.get_u8()?)
+            .ok_or_else(|| pipeline_err("unknown tuning-source tag in envelope"))?;
+        let saved_tuning = Some(Tuning {
+            score_chunk,
+            threads,
+            source,
+        });
         // Both counted sections validate their length prefix against the
         // bytes actually present before any allocation, so a corrupted
         // prefix fails descriptively instead of aborting on a huge
@@ -671,18 +652,11 @@ impl Pipeline {
         if !r.is_exhausted() {
             return Err(pipeline_err("trailing bytes after pipeline envelope"));
         }
-        let model: Box<dyn Model> = match kind {
-            PayloadKind::OnlineHd => Box::new(OnlineHd::from_bytes(payload)?),
-            PayloadKind::CentroidHd => Box::new(CentroidHd::from_bytes(payload)?),
-            PayloadKind::BoostHd => Box::new(BoostHd::from_bytes(payload)?),
-            PayloadKind::QuantizedHd => Box::new(QuantizedHd::from_bytes(payload)?),
-            PayloadKind::QuantizedBoostHd => Box::new(QuantizedBoostHd::from_bytes(payload)?),
-            PayloadKind::QuantizedI8Hd => Box::new(QuantizedI8Hd::from_bytes(payload)?),
-            PayloadKind::QuantizedI8BoostHd => Box::new(QuantizedI8BoostHd::from_bytes(payload)?),
-            PayloadKind::Unsupported => {
-                return Err(pipeline_err("envelope holds no loadable payload"));
-            }
-        };
+        let mut payload_reader = Reader::new(payload);
+        let model = kind.decode(&mut payload_reader)?;
+        if !payload_reader.is_exhausted() {
+            return Err(pipeline_err("trailing bytes after model blob"));
+        }
         let mut pipeline = Self::from_model(spec, model);
         pipeline.set_abstain_threshold(abstain_threshold);
         pipeline.saved_tuning = saved_tuning;
@@ -786,18 +760,7 @@ impl Pipeline {
                 ),
             });
         }
-        let model: Box<dyn Model> = match kind {
-            PayloadKind::OnlineHd => Box::new(OnlineHd::decode_from(&mut r)?),
-            PayloadKind::CentroidHd => Box::new(CentroidHd::decode_from(&mut r)?),
-            PayloadKind::BoostHd => Box::new(BoostHd::decode_from(&mut r)?),
-            PayloadKind::QuantizedHd => Box::new(QuantizedHd::decode_from(&mut r)?),
-            PayloadKind::QuantizedBoostHd => Box::new(QuantizedBoostHd::decode_from(&mut r)?),
-            PayloadKind::QuantizedI8Hd => Box::new(QuantizedI8Hd::decode_from(&mut r)?),
-            PayloadKind::QuantizedI8BoostHd => Box::new(QuantizedI8BoostHd::decode_from(&mut r)?),
-            PayloadKind::Unsupported => {
-                return Err(pipeline_err("store record holds no loadable payload"));
-            }
-        };
+        let model = kind.decode(&mut r)?;
         if !r.is_exhausted() {
             return Err(pipeline_err("trailing bytes after store record structure"));
         }
@@ -813,10 +776,6 @@ fn expected_payload_kind(spec: &ModelSpec) -> PayloadKind {
         ModelSpec::OnlineHd(_) => PayloadKind::OnlineHd,
         ModelSpec::CentroidHd(_) => PayloadKind::CentroidHd,
         ModelSpec::BoostHd(_) => PayloadKind::BoostHd,
-        ModelSpec::QuantizedOnlineHd { .. } => PayloadKind::QuantizedHd,
-        ModelSpec::QuantizedBoostHd { .. } => PayloadKind::QuantizedBoostHd,
-        ModelSpec::QuantizedI8OnlineHd { .. } => PayloadKind::QuantizedI8Hd,
-        ModelSpec::QuantizedI8BoostHd { .. } => PayloadKind::QuantizedI8BoostHd,
         ModelSpec::Baseline(_) => PayloadKind::Unsupported,
     }
 }
@@ -876,40 +835,34 @@ mod tests {
                 epochs: 2,
                 ..Default::default()
             }),
-            ModelSpec::QuantizedOnlineHd {
-                base: OnlineHdConfig {
-                    dim: 96,
-                    epochs: 3,
-                    ..Default::default()
-                },
+            ModelSpec::OnlineHd(OnlineHdConfig {
+                dim: 96,
+                epochs: 3,
+                precision: Precision::Binary,
                 refit_epochs: 2,
-            },
-            ModelSpec::QuantizedBoostHd {
-                base: BoostHdConfig {
-                    dim_total: 120,
-                    n_learners: 4,
-                    epochs: 2,
-                    ..Default::default()
-                },
-                refit_epochs: 0,
-            },
-            ModelSpec::QuantizedI8OnlineHd {
-                base: OnlineHdConfig {
-                    dim: 96,
-                    epochs: 3,
-                    ..Default::default()
-                },
+                ..Default::default()
+            }),
+            ModelSpec::BoostHd(BoostHdConfig {
+                dim_total: 120,
+                n_learners: 4,
+                epochs: 2,
+                precision: Precision::Binary,
+                ..Default::default()
+            }),
+            ModelSpec::OnlineHd(OnlineHdConfig {
+                dim: 96,
+                epochs: 3,
+                precision: Precision::Int8,
                 refit_epochs: 2,
-            },
-            ModelSpec::QuantizedI8BoostHd {
-                base: BoostHdConfig {
-                    dim_total: 120,
-                    n_learners: 4,
-                    epochs: 2,
-                    ..Default::default()
-                },
-                refit_epochs: 0,
-            },
+                ..Default::default()
+            }),
+            ModelSpec::BoostHd(BoostHdConfig {
+                dim_total: 120,
+                n_learners: 4,
+                epochs: 2,
+                precision: Precision::Int8,
+                ..Default::default()
+            }),
         ]
     }
 
@@ -919,15 +872,15 @@ mod tests {
         for spec in hdc_specs() {
             let pipeline = Pipeline::fit(&spec, &x, &y)
                 .unwrap_or_else(|e| panic!("{} failed to fit: {e}", spec.kind_tag()));
+            let name = spec.display_name();
             let restored = Pipeline::from_bytes(&pipeline.to_bytes().unwrap())
-                .unwrap_or_else(|e| panic!("{} failed to reload: {e}", spec.kind_tag()));
+                .unwrap_or_else(|e| panic!("{name} failed to reload: {e}"));
             assert_eq!(
                 pipeline.predict_batch(&x),
                 restored.predict_batch(&x),
-                "{} predictions drifted through the envelope",
-                spec.kind_tag()
+                "{name} predictions drifted through the envelope"
             );
-            assert_eq!(restored.spec(), &spec, "{}", spec.kind_tag());
+            assert_eq!(restored.spec(), &spec, "{name}");
         }
     }
 
@@ -1131,7 +1084,7 @@ mod tests {
             .to_bytes()
             .unwrap();
         // Byte 4 is the envelope version (after the u32 magic).
-        for future_version in [3u8, 9, 250] {
+        for future_version in [4u8, 9, 250] {
             let mut bumped = bytes.clone();
             bumped[4] = future_version;
             let err = Pipeline::from_bytes(&bumped).unwrap_err();
@@ -1145,8 +1098,8 @@ mod tests {
                 "{msg}"
             );
             assert!(
-                msg.contains(&format!("{ENVELOPE_MIN_VERSION}..={ENVELOPE_VERSION}")),
-                "the error must name the supported range: {msg}"
+                msg.contains(&format!("reads version {ENVELOPE_VERSION} only")),
+                "the error must name the supported version: {msg}"
             );
         }
         // Version 0 predates the format and is equally unreadable.
@@ -1162,9 +1115,8 @@ mod tests {
             .unwrap()
             .to_bytes()
             .unwrap();
-        // Byte 5 is the payload-kind tag; 8..255 are unassigned futures
-        // (6/7 became the int8 tier in envelope v2).
-        for future_kind in [8u8, 42, 255] {
+        // Byte 5 is the payload-kind tag; 4..255 are unassigned.
+        for future_kind in [4u8, 42, 255] {
             let mut unknown = bytes.clone();
             unknown[5] = future_kind;
             let err = Pipeline::from_bytes(&unknown).unwrap_err();
@@ -1188,23 +1140,48 @@ mod tests {
     }
 
     #[test]
-    fn v1_envelopes_without_tuning_record_remain_readable() {
+    fn older_envelope_versions_are_rejected() {
         let (x, y) = toy();
-        let pipeline = Pipeline::fit(&hdc_specs()[0], &x, &y)
+        let bytes = Pipeline::fit(&hdc_specs()[0], &x, &y)
             .unwrap()
-            .with_abstain_threshold(0.4);
-        let v2 = pipeline.to_bytes().unwrap();
-        // A v1 envelope is the v2 layout minus the 9-byte tuning record
-        // (u32 score_chunk + u32 threads + u8 source tag) that v2 inserts
-        // after the abstain threshold at offset 10.
-        let mut v1 = Vec::with_capacity(v2.len() - 9);
-        v1.extend_from_slice(&v2[..10]);
-        v1.extend_from_slice(&v2[19..]);
-        v1[4] = 1;
-        let restored = Pipeline::from_bytes(&v1).expect("v1 envelope must stay readable");
-        assert_eq!(restored.predict_batch(&x), pipeline.predict_batch(&x));
-        assert!((restored.abstain_threshold() - 0.4).abs() < 1e-6);
-        assert_eq!(restored.saved_tuning(), None, "v1 carries no tuning");
+            .to_bytes()
+            .unwrap();
+        for old in [1u8, 2] {
+            let mut stale = bytes.clone();
+            stale[4] = old;
+            let err = Pipeline::from_bytes(&stale).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported envelope version {old}")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn precision_siblings_keep_the_threshold_and_record_their_precision() {
+        let (x, y) = toy();
+        for spec in [hdc_specs()[0].clone(), hdc_specs()[2].clone()] {
+            let base = Pipeline::fit(&spec, &x, &y)
+                .unwrap()
+                .with_abstain_threshold(0.3);
+            for precision in Precision::ALL {
+                let tier = base.with_precision(precision).unwrap();
+                assert_eq!(tier.abstain_threshold(), base.abstain_threshold());
+                let refit = Pipeline::fit(tier.spec(), &x, &y).unwrap();
+                assert_eq!(
+                    tier.predict_batch(&x),
+                    refit.predict_batch(&x),
+                    "{}: the tier spec rebuilds the tier",
+                    tier.spec().display_name()
+                );
+            }
+        }
+        // Quantized and centroid pipelines have no precision ladder.
+        let binary = Pipeline::fit(&hdc_specs()[3], &x, &y).unwrap();
+        assert!(binary.with_precision(Precision::Int8).is_err());
+        let centroid = Pipeline::fit(&hdc_specs()[1], &x, &y).unwrap();
+        assert!(centroid.with_precision(Precision::Int8).is_err());
     }
 
     #[test]
@@ -1217,7 +1194,9 @@ mod tests {
             "a freshly-fit pipeline has no envelope provenance"
         );
         let restored = Pipeline::from_bytes(&pipeline.to_bytes().unwrap()).unwrap();
-        let tuning = restored.saved_tuning().expect("v2 always records tuning");
+        let tuning = restored
+            .saved_tuning()
+            .expect("envelopes always record tuning");
         assert_eq!(tuning, linalg::autotune::tuning(), "same-process save/load");
         assert!(tuning.score_chunk.is_power_of_two() && tuning.score_chunk >= 64);
         assert!(tuning.threads >= 1);

@@ -5,9 +5,10 @@
 //! Ge & Parhi review) treats model choice as a swept design-space
 //! parameter; this module makes that literal. One `ModelSpec` value names
 //! a model family plus its full hyperparameter set — HDC encoder
-//! dimensionality, training knobs, backend (dense f32 vs bitpacked sign),
-//! and for the classical baselines the handful of knobs the Table I zoo
-//! varies. Specs round-trip through the TOML subset in [`crate::toml`]
+//! dimensionality, training knobs, class-memory precision (`precision =
+//! "f32" | "int8" | "binary"` plus `refit_epochs`, on `online_hd` and
+//! `boost_hd`), and for the classical baselines the handful of knobs the
+//! Table I zoo varies. Specs round-trip through the TOML subset in [`crate::toml`]
 //! (`[model]` tables, the `hdrun` CLI's file format) and through the
 //! persistence envelope ([`crate::pipeline`]), so a trained artifact
 //! always records exactly how to rebuild itself.
@@ -26,6 +27,7 @@
 use crate::boost::{BoostHdConfig, EnsembleMode, SampleMode, Voting};
 use crate::centroid::CentroidHdConfig;
 use crate::error::{BoostHdError, Result};
+use crate::memory::Precision;
 use crate::online::OnlineHdConfig;
 use crate::toml::{TomlDoc, TomlTable, TomlWriter};
 use serde::{Deserialize, Serialize};
@@ -114,47 +116,13 @@ impl BaselineSpec {
 /// docs](self) and [`crate::pipeline::Pipeline::fit`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ModelSpec {
-    /// OnlineHD with a dense-f32 backend.
+    /// OnlineHD, trained in f32 and frozen at `precision`.
     OnlineHd(OnlineHdConfig),
-    /// Single-pass centroid bundling with a dense-f32 backend.
+    /// Single-pass centroid bundling (f32).
     CentroidHd(CentroidHdConfig),
-    /// The paper's boosted partitioned ensemble, dense-f32 backend.
+    /// The paper's boosted partitioned ensemble, trained in f32 and frozen
+    /// at `precision`.
     BoostHd(BoostHdConfig),
-    /// OnlineHD trained in f32 then frozen to the bitpacked sign backend
-    /// (optionally with quantization-aware refit epochs).
-    QuantizedOnlineHd {
-        /// The f32 training configuration.
-        base: OnlineHdConfig,
-        /// Straight-through refinement epochs before freezing (0 = plain
-        /// sign binarization).
-        refit_epochs: usize,
-    },
-    /// BoostHD trained in f32 then frozen to the bitpacked sign backend.
-    QuantizedBoostHd {
-        /// The f32 training configuration.
-        base: BoostHdConfig,
-        /// Straight-through refinement epochs before freezing (0 = plain
-        /// sign binarization).
-        refit_epochs: usize,
-    },
-    /// OnlineHD trained in f32 then frozen to the int8 scaled-integer
-    /// backend (the middle rung of the quantization ladder).
-    QuantizedI8OnlineHd {
-        /// The f32 training configuration.
-        base: OnlineHdConfig,
-        /// Straight-through refinement epochs before freezing (0 = plain
-        /// data-free quantization).
-        refit_epochs: usize,
-    },
-    /// BoostHD trained in f32 then frozen to the int8 scaled-integer
-    /// backend.
-    QuantizedI8BoostHd {
-        /// The f32 training configuration.
-        base: BoostHdConfig,
-        /// Straight-through refinement epochs before freezing (0 = plain
-        /// data-free quantization).
-        refit_epochs: usize,
-    },
     /// A classical baseline from the Table I zoo (constructed through the
     /// registered builder; see [`crate::pipeline::register_baseline_builder`]).
     Baseline(BaselineSpec),
@@ -167,24 +135,25 @@ impl ModelSpec {
             ModelSpec::OnlineHd(_) => "online_hd",
             ModelSpec::CentroidHd(_) => "centroid_hd",
             ModelSpec::BoostHd(_) => "boost_hd",
-            ModelSpec::QuantizedOnlineHd { .. } => "quantized_online_hd",
-            ModelSpec::QuantizedBoostHd { .. } => "quantized_boost_hd",
-            ModelSpec::QuantizedI8OnlineHd { .. } => "quantized_i8_online_hd",
-            ModelSpec::QuantizedI8BoostHd { .. } => "quantized_i8_boost_hd",
             ModelSpec::Baseline(b) => b.kind.tag(),
         }
     }
 
-    /// Human-readable family name for reports.
+    /// Human-readable family name for reports, with the class-memory
+    /// precision when it is not f32.
     pub fn display_name(&self) -> &'static str {
         match self {
-            ModelSpec::OnlineHd(_) => "OnlineHD",
+            ModelSpec::OnlineHd(c) => match c.precision {
+                Precision::F32 => "OnlineHD",
+                Precision::Int8 => "OnlineHD(int8)",
+                Precision::Binary => "OnlineHD(bitpacked)",
+            },
             ModelSpec::CentroidHd(_) => "CentroidHD",
-            ModelSpec::BoostHd(_) => "BoostHD",
-            ModelSpec::QuantizedOnlineHd { .. } => "OnlineHD(bitpacked)",
-            ModelSpec::QuantizedBoostHd { .. } => "BoostHD(bitpacked)",
-            ModelSpec::QuantizedI8OnlineHd { .. } => "OnlineHD(int8)",
-            ModelSpec::QuantizedI8BoostHd { .. } => "BoostHD(int8)",
+            ModelSpec::BoostHd(c) => match c.precision {
+                Precision::F32 => "BoostHD",
+                Precision::Int8 => "BoostHD(int8)",
+                Precision::Binary => "BoostHD(bitpacked)",
+            },
             ModelSpec::Baseline(b) => match b.kind {
                 BaselineKind::AdaBoost => "Adaboost",
                 BaselineKind::RandomForest => "RF",
@@ -199,13 +168,9 @@ impl ModelSpec {
     /// spec per run from a base spec).
     pub fn set_seed(&mut self, seed: u64) {
         match self {
-            ModelSpec::OnlineHd(c)
-            | ModelSpec::QuantizedOnlineHd { base: c, .. }
-            | ModelSpec::QuantizedI8OnlineHd { base: c, .. } => c.seed = seed,
+            ModelSpec::OnlineHd(c) => c.seed = seed,
             ModelSpec::CentroidHd(c) => c.seed = seed,
-            ModelSpec::BoostHd(c)
-            | ModelSpec::QuantizedBoostHd { base: c, .. }
-            | ModelSpec::QuantizedI8BoostHd { base: c, .. } => c.seed = seed,
+            ModelSpec::BoostHd(c) => c.seed = seed,
             ModelSpec::Baseline(b) => b.seed = seed,
         }
     }
@@ -239,19 +204,6 @@ impl ModelSpec {
                 w.u64("seed", c.seed);
             }
             ModelSpec::BoostHd(c) => write_boost(w, c),
-            ModelSpec::QuantizedOnlineHd { base, refit_epochs } => {
-                write_online(w, base);
-                w.int("refit_epochs", *refit_epochs as i64);
-            }
-            ModelSpec::QuantizedBoostHd { base, refit_epochs }
-            | ModelSpec::QuantizedI8BoostHd { base, refit_epochs } => {
-                write_boost(w, base);
-                w.int("refit_epochs", *refit_epochs as i64);
-            }
-            ModelSpec::QuantizedI8OnlineHd { base, refit_epochs } => {
-                write_online(w, base);
-                w.int("refit_epochs", *refit_epochs as i64);
-            }
             ModelSpec::Baseline(b) => {
                 w.u64("seed", b.seed);
                 if let Some(n) = b.n_estimators {
@@ -277,7 +229,8 @@ impl ModelSpec {
     /// # Errors
     ///
     /// Returns [`BoostHdError::InvalidConfig`] for malformed TOML, a
-    /// missing `[model]` table, an unknown `kind`, or mistyped fields.
+    /// missing `[model]` table, an unknown `kind` or `precision`, mistyped
+    /// fields, or keys that do not belong to the kind.
     pub fn from_toml_str(text: &str) -> Result<Self> {
         let doc = TomlDoc::parse(text)?;
         let table = doc
@@ -301,8 +254,6 @@ impl ModelSpec {
             "online_hd" => &ONLINE_KEYS,
             "centroid_hd" => &["kind", "dim", "seed"],
             "boost_hd" => &BOOST_KEYS,
-            "quantized_online_hd" | "quantized_i8_online_hd" => &QUANT_ONLINE_KEYS,
-            "quantized_boost_hd" | "quantized_i8_boost_hd" => &QUANT_BOOST_KEYS,
             _ => &["kind", "seed", "n_estimators", "epochs", "lr", "hidden"],
         };
         if let Some(bad) = table.keys().find(|k| !allowed.contains(k)) {
@@ -324,22 +275,6 @@ impl ModelSpec {
                 ModelSpec::CentroidHd(c)
             }
             "boost_hd" => ModelSpec::BoostHd(read_boost(table)?),
-            "quantized_online_hd" => ModelSpec::QuantizedOnlineHd {
-                base: read_online(table)?,
-                refit_epochs: opt_usize(table, "refit_epochs")?.unwrap_or(0),
-            },
-            "quantized_boost_hd" => ModelSpec::QuantizedBoostHd {
-                base: read_boost(table)?,
-                refit_epochs: opt_usize(table, "refit_epochs")?.unwrap_or(0),
-            },
-            "quantized_i8_online_hd" => ModelSpec::QuantizedI8OnlineHd {
-                base: read_online(table)?,
-                refit_epochs: opt_usize(table, "refit_epochs")?.unwrap_or(0),
-            },
-            "quantized_i8_boost_hd" => ModelSpec::QuantizedI8BoostHd {
-                base: read_boost(table)?,
-                refit_epochs: opt_usize(table, "refit_epochs")?.unwrap_or(0),
-            },
             other => {
                 let mut b = BaselineSpec::new(BaselineKind::from_tag(other)?, 0x5EED);
                 if let Some(v) = opt_u64(table, "seed")? {
@@ -360,17 +295,17 @@ impl ModelSpec {
 
 /// Key vocabularies per spec kind, shared by the writer and the
 /// unknown-key validation in [`ModelSpec::from_toml_table`].
-const ONLINE_KEYS: [&str; 6] = ["kind", "dim", "lr", "epochs", "bootstrap", "seed"];
-const QUANT_ONLINE_KEYS: [&str; 7] = [
+const ONLINE_KEYS: [&str; 8] = [
     "kind",
     "dim",
     "lr",
     "epochs",
     "bootstrap",
     "seed",
+    "precision",
     "refit_epochs",
 ];
-const BOOST_KEYS: [&str; 13] = [
+const BOOST_KEYS: [&str; 15] = [
     "kind",
     "dim_total",
     "n_learners",
@@ -384,21 +319,7 @@ const BOOST_KEYS: [&str; 13] = [
     "weight_clamp",
     "class_balanced_init",
     "seed",
-];
-const QUANT_BOOST_KEYS: [&str; 14] = [
-    "kind",
-    "dim_total",
-    "n_learners",
-    "lr",
-    "epochs",
-    "bootstrap",
-    "voting",
-    "mode",
-    "sample_mode",
-    "boost_shrinkage",
-    "weight_clamp",
-    "class_balanced_init",
-    "seed",
+    "precision",
     "refit_epochs",
 ];
 
@@ -437,12 +358,36 @@ fn opt_str<'t>(table: &'t TomlTable, key: &str) -> Result<Option<&'t str>> {
     }
 }
 
+/// Writes the class-memory precision keys shared by `online_hd` and
+/// `boost_hd`.
+fn write_precision(w: &mut TomlWriter, precision: Precision, refit_epochs: usize) {
+    w.str("precision", precision.tag());
+    w.int("refit_epochs", refit_epochs as i64);
+}
+
+/// Reads `precision` and `refit_epochs`, rejecting an unknown precision
+/// and refit epochs at f32.
+fn read_precision(table: &TomlTable) -> Result<(Precision, usize)> {
+    let precision = match opt_str(table, "precision")? {
+        None => Precision::F32,
+        Some(tag) => Precision::from_tag(tag).ok_or_else(|| {
+            spec_err(format!(
+                "unknown precision `{tag}` for key `precision` (expected f32, int8 or binary)"
+            ))
+        })?,
+    };
+    let refit_epochs = opt_usize(table, "refit_epochs")?.unwrap_or(0);
+    precision.check_refit_epochs(refit_epochs)?;
+    Ok((precision, refit_epochs))
+}
+
 fn write_online(w: &mut TomlWriter, c: &OnlineHdConfig) {
     w.int("dim", c.dim as i64);
     w.float("lr", c.lr as f64);
     w.int("epochs", c.epochs as i64);
     w.bool("bootstrap", c.bootstrap);
     w.u64("seed", c.seed);
+    write_precision(w, c.precision, c.refit_epochs);
 }
 
 fn read_online(table: &TomlTable) -> Result<OnlineHdConfig> {
@@ -462,6 +407,7 @@ fn read_online(table: &TomlTable) -> Result<OnlineHdConfig> {
     if let Some(v) = opt_u64(table, "seed")? {
         c.seed = v;
     }
+    (c.precision, c.refit_epochs) = read_precision(table)?;
     Ok(c)
 }
 
@@ -499,6 +445,7 @@ fn write_boost(w: &mut TomlWriter, c: &BoostHdConfig) {
     w.float("weight_clamp", c.weight_clamp);
     w.bool("class_balanced_init", c.class_balanced_init);
     w.u64("seed", c.seed);
+    write_precision(w, c.precision, c.refit_epochs);
 }
 
 fn read_boost(table: &TomlTable) -> Result<BoostHdConfig> {
@@ -551,11 +498,13 @@ fn read_boost(table: &TomlTable) -> Result<BoostHdConfig> {
     if let Some(v) = opt_u64(table, "seed")? {
         c.seed = v;
     }
+    (c.precision, c.refit_epochs) = read_precision(table)?;
     Ok(c)
 }
 
-/// Every spec variant at paper-default hyperparameters — the sweep axis
-/// used by round-trip tests and the design-space tooling.
+/// Every spec family at paper-default hyperparameters, the HDC ones at each
+/// deployment precision — the sweep axis used by round-trip tests and the
+/// design-space tooling.
 pub fn default_specs(seed: u64) -> Vec<ModelSpec> {
     vec![
         ModelSpec::OnlineHd(OnlineHdConfig {
@@ -570,34 +519,30 @@ pub fn default_specs(seed: u64) -> Vec<ModelSpec> {
             seed,
             ..Default::default()
         }),
-        ModelSpec::QuantizedOnlineHd {
-            base: OnlineHdConfig {
-                seed,
-                ..Default::default()
-            },
+        ModelSpec::OnlineHd(OnlineHdConfig {
+            seed,
+            precision: Precision::Binary,
             refit_epochs: 5,
-        },
-        ModelSpec::QuantizedBoostHd {
-            base: BoostHdConfig {
-                seed,
-                ..Default::default()
-            },
+            ..Default::default()
+        }),
+        ModelSpec::BoostHd(BoostHdConfig {
+            seed,
+            precision: Precision::Binary,
             refit_epochs: 5,
-        },
-        ModelSpec::QuantizedI8OnlineHd {
-            base: OnlineHdConfig {
-                seed,
-                ..Default::default()
-            },
+            ..Default::default()
+        }),
+        ModelSpec::OnlineHd(OnlineHdConfig {
+            seed,
+            precision: Precision::Int8,
             refit_epochs: 2,
-        },
-        ModelSpec::QuantizedI8BoostHd {
-            base: BoostHdConfig {
-                seed,
-                ..Default::default()
-            },
+            ..Default::default()
+        }),
+        ModelSpec::BoostHd(BoostHdConfig {
+            seed,
+            precision: Precision::Int8,
             refit_epochs: 2,
-        },
+            ..Default::default()
+        }),
         ModelSpec::Baseline(BaselineSpec::new(BaselineKind::AdaBoost, seed)),
         ModelSpec::Baseline(BaselineSpec::new(BaselineKind::RandomForest, seed)),
         ModelSpec::Baseline(BaselineSpec::new(BaselineKind::Gbt, seed)),
@@ -635,6 +580,8 @@ mod tests {
             weight_clamp: 2.5,
             class_balanced_init: false,
             seed: 99,
+            precision: Precision::Int8,
+            refit_epochs: 4,
         });
         assert_eq!(ModelSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
 
@@ -686,7 +633,7 @@ mod tests {
         assert!(err.to_string().contains("n_leaners"), "{err}");
         assert!(
             ModelSpec::from_toml_str("[model]\nkind = \"online_hd\"\nrefit_epochs = 2\n").is_err(),
-            "refit_epochs belongs to the quantized variants only"
+            "refit_epochs needs a quantized precision"
         );
         assert!(
             ModelSpec::from_toml_str("[model]\nkind = \"svm\"\nhidden = [3]\n").is_ok(),
@@ -702,6 +649,78 @@ mod tests {
             assert!(text.contains("seed = 777"), "{text}");
             assert_ne!(reseeded, spec);
         }
+    }
+
+    #[test]
+    fn every_family_and_precision_round_trips_through_toml() {
+        for precision in Precision::ALL {
+            let refit_epochs = if precision == Precision::F32 { 0 } else { 3 };
+            let specs = [
+                ModelSpec::OnlineHd(OnlineHdConfig {
+                    dim: 512,
+                    precision,
+                    refit_epochs,
+                    ..Default::default()
+                }),
+                ModelSpec::BoostHd(BoostHdConfig {
+                    n_learners: 4,
+                    precision,
+                    refit_epochs,
+                    ..Default::default()
+                }),
+            ];
+            for spec in specs {
+                let text = spec.to_toml();
+                assert!(
+                    text.contains(&format!("precision = \"{}\"", precision.tag())),
+                    "{text}"
+                );
+                assert_eq!(ModelSpec::from_toml_str(&text).unwrap(), spec, "{text}");
+            }
+        }
+        let centroid = ModelSpec::CentroidHd(CentroidHdConfig::default());
+        assert_eq!(
+            ModelSpec::from_toml_str(&centroid.to_toml()).unwrap(),
+            centroid
+        );
+    }
+
+    #[test]
+    fn precision_keys_are_strict() {
+        let reject = |text: &str, key: &str| {
+            let err = ModelSpec::from_toml_str(text).unwrap_err();
+            assert!(
+                matches!(err, BoostHdError::InvalidConfig { .. }),
+                "{text}: {err:?}"
+            );
+            assert!(err.to_string().contains(key), "{text}: {err}");
+        };
+        reject(
+            "[model]\nkind = \"boost_hd\"\nprecision = \"int4\"\n",
+            "precision",
+        );
+        reject(
+            "[model]\nkind = \"centroid_hd\"\nprecision = \"int8\"\n",
+            "precision",
+        );
+        reject(
+            "[model]\nkind = \"svm\"\nprecision = \"binary\"\n",
+            "precision",
+        );
+        reject(
+            "[model]\nkind = \"online_hd\"\nprecision = \"f32\"\nrefit_epochs = 1\n",
+            "refit_epochs",
+        );
+        reject(
+            "[model]\nkind = \"quantized_boost_hd\"\n",
+            "quantized_boost_hd",
+        );
+        let spec = ModelSpec::from_toml_str(
+            "[model]\nkind = \"boost_hd\"\nprecision = \"binary\"\nrefit_epochs = 5\n",
+        )
+        .unwrap();
+        assert_eq!(spec.display_name(), "BoostHD(bitpacked)");
+        assert_eq!(spec.kind_tag(), "boost_hd");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 
 use boosthd::boost::EnsembleMode;
 use boosthd::{
-    BoostHd, BoostHdConfig, CentroidHd, CentroidHdConfig, Classifier, OnlineHd, OnlineHdConfig,
+    BoostHd, BoostHdConfig, CentroidHd, CentroidHdConfig, ClassMemory, Classifier, Model, OnlineHd,
+    OnlineHdConfig, Precision,
 };
-use faults::{flip_bits, flip_sign_bits, Perturbable, PerturbablePacked};
+use faults::{flip_bits, Perturbable};
 use linalg::{Matrix, Rng64};
 use proptest::prelude::*;
 
@@ -153,14 +154,14 @@ mod batch_row_equivalence {
                 &BoostHdConfig { dim_total: 96, n_learners: 4, epochs: 2, seed, ..Default::default() },
                 &x, &y,
             ).unwrap();
-            let q_online = online.quantize();
-            let q_boost = boost.quantize();
+            let q_online = online.with_precision(Precision::Binary).unwrap();
+            let q_boost = boost.with_precision(Precision::Binary).unwrap();
             let models: [(&str, &dyn Classifier); 5] = [
                 ("OnlineHd", &online),
                 ("CentroidHd", &centroid),
                 ("BoostHd", &boost),
-                ("QuantizedHd", &q_online),
-                ("QuantizedBoostHd", &q_boost),
+                ("OnlineHd(binary)", &q_online),
+                ("BoostHd(binary)", &q_boost),
             ];
             for (name, model) in models {
                 assert_batch_matches_rows(name, model, &x);
@@ -178,23 +179,23 @@ mod batch_row_equivalence {
                 dim_total: 128, n_learners: 4, epochs: 2, seed, ..Default::default()
             };
             let mut boost = BoostHd::fit(&config, &x, &y).unwrap();
-            let mut packed = boost.quantize();
+            let mut packed = boost.with_precision(Precision::Binary).unwrap();
             let mut online = OnlineHd::fit(
                 &OnlineHdConfig { dim: 96, epochs: 2, seed, ..Default::default() }, &x, &y,
             ).unwrap();
-            let mut q_online = online.quantize();
+            let mut q_online = online.with_precision(Precision::Binary).unwrap();
 
             let mut rng = Rng64::seed_from(seed ^ 0xF11);
             flip_bits(&mut boost, p_b, &mut rng);
             flip_bits(&mut online, p_b, &mut rng);
-            flip_sign_bits(&mut packed, p_b, &mut rng);
-            flip_sign_bits(&mut q_online, p_b, &mut rng);
+            Model::inject_bitflips(&mut packed, p_b, &mut rng).unwrap();
+            Model::inject_bitflips(&mut q_online, p_b, &mut rng).unwrap();
 
             let models: [(&str, &dyn Classifier); 4] = [
                 ("BoostHd+flips", &boost),
                 ("OnlineHd+flips", &online),
-                ("QuantizedBoostHd+flips", &packed),
-                ("QuantizedHd+flips", &q_online),
+                ("BoostHd(binary)+flips", &packed),
+                ("OnlineHd(binary)+flips", &q_online),
             ];
             for (name, model) in models {
                 assert_batch_matches_rows(name, model, &x);
@@ -210,9 +211,9 @@ mod batch_row_equivalence {
                 ..Default::default()
             };
             let boost = BoostHd::fit(&config, &x, &y).unwrap();
-            let packed = boost.quantize();
+            let packed = boost.with_precision(Precision::Binary).unwrap();
             assert_batch_matches_rows("BoostHd-fulldim", &boost, &x);
-            assert_batch_matches_rows("QuantizedBoostHd-fulldim", &packed, &x);
+            assert_batch_matches_rows("BoostHd(binary)-fulldim", &packed, &x);
         }
 
         #[test]
@@ -223,7 +224,7 @@ mod batch_row_equivalence {
             let online = OnlineHd::fit(
                 &OnlineHdConfig { dim: 64, epochs: 2, seed, ..Default::default() }, &x, &y,
             ).unwrap();
-            let q = online.quantize();
+            let q = online.with_precision(Precision::Binary).unwrap();
             prop_assert_eq!(online.predict_batch(&x), online.predict_batch_parallel(&x, threads));
             prop_assert_eq!(q.predict_batch(&x), q.predict_batch_parallel(&x, threads));
         }
@@ -246,7 +247,11 @@ mod batch_row_equivalence {
         .unwrap();
         let mut m = online.clone();
         assert_eq!(m.param_count(), 3 * 64);
-        assert_eq!(online.quantize().packed_bit_count(), 3 * 64);
+        let binary = online.with_precision(Precision::Binary).unwrap();
+        let ClassMemory::Packed(bits) = binary.class_memory() else {
+            panic!("binary memories are sign-packed");
+        };
+        assert_eq!(bits.bit_count(), 3 * 64);
     }
 }
 
@@ -272,25 +277,23 @@ fn small_hdc_specs(seed: u64) -> Vec<boosthd::ModelSpec> {
             seed,
             ..Default::default()
         }),
-        ModelSpec::QuantizedOnlineHd {
-            base: OnlineHdConfig {
-                dim: 72,
-                epochs: 2,
-                seed,
-                ..Default::default()
-            },
+        ModelSpec::OnlineHd(OnlineHdConfig {
+            dim: 72,
+            epochs: 2,
+            seed,
+            precision: Precision::Binary,
             refit_epochs: 1,
-        },
-        ModelSpec::QuantizedBoostHd {
-            base: BoostHdConfig {
-                dim_total: 96,
-                n_learners: 4,
-                epochs: 2,
-                seed,
-                ..Default::default()
-            },
+            ..Default::default()
+        }),
+        ModelSpec::BoostHd(BoostHdConfig {
+            dim_total: 96,
+            n_learners: 4,
+            epochs: 2,
+            seed,
+            precision: Precision::Binary,
             refit_epochs: 1,
-        },
+            ..Default::default()
+        }),
     ]
 }
 
@@ -344,6 +347,7 @@ proptest! {
             lr: lr as f32,
             bootstrap,
             seed,
+            ..Default::default()
         });
         prop_assert_eq!(ModelSpec::from_toml_str(&spec.to_toml()).unwrap(), spec);
     }

@@ -62,7 +62,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use boosthd::parallel::ExecBackend;
-use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig, Pipeline};
+use boosthd::{Classifier, ModelSpec, OnlineHd, OnlineHdConfig, Pipeline, Precision};
 use boosthd_serve::server::{Backpressure, DegradeConfig, Server, ServerConfig, ServerTuning};
 use boosthd_serve::wire::{Client, ErrorCode, Reply};
 use boosthd_serve::EngineConfig;
@@ -628,14 +628,15 @@ fn scenario_deadline_storm(cfg: &ChaosConfig, pipeline: &Arc<Pipeline>) -> Scena
 /// Burst overload with the degrade ladder enabled: the queue is filled to
 /// capacity plus four sheds, the ladder steps f32 → int8 under sustained
 /// depth, degraded replies are cross-checked bit-for-bit against a
-/// standalone `quantize_i8()` sibling, and recovery is measured as the
+/// standalone int8 (`with_precision`) sibling, and recovery is measured as the
 /// virtual time until the ladder is back at full fidelity.
 fn scenario_overload_degrade(cfg: &ChaosConfig, pipeline: &Arc<Pipeline>) -> ScenarioOutcome {
     let mut rng = Rng64::seed_from(cfg.seed ^ 0xC0_0003);
     let standalone_i8 = pipeline
         .downcast_ref::<OnlineHd>()
         .expect("chaos fixture is OnlineHD")
-        .quantize_i8();
+        .with_precision(Precision::Int8)
+        .expect("chaos fixture is f32");
     let server = Server::bind(
         Arc::clone(pipeline),
         FEATURES,

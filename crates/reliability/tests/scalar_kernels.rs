@@ -57,14 +57,13 @@ fn spec(seed: u64) -> CampaignSpec {
                 epochs: 2,
                 ..Default::default()
             }),
-            ModelSpec::QuantizedOnlineHd {
-                base: OnlineHdConfig {
-                    dim: 96,
-                    epochs: 2,
-                    ..Default::default()
-                },
+            ModelSpec::OnlineHd(OnlineHdConfig {
+                dim: 96,
+                epochs: 2,
+                precision: boosthd::Precision::Binary,
                 refit_epochs: 1,
-            },
+                ..Default::default()
+            }),
         ],
         scenarios: vec![
             ScenarioSpec::new(FaultModel::BitFlip, vec![0.0, 1e-3]),

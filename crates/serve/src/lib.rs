@@ -499,17 +499,16 @@ mod tests {
 
     #[test]
     fn engine_serves_pipeline_built_models() {
-        use boosthd::{ModelSpec, Pipeline, QuantizedHd};
+        use boosthd::{ModelSpec, OnlineHd, Pipeline, Precision};
 
         let (x, y) = blobs(48, 7);
-        let spec = ModelSpec::QuantizedOnlineHd {
-            base: OnlineHdConfig {
-                dim: 256,
-                epochs: 4,
-                ..Default::default()
-            },
+        let spec = ModelSpec::OnlineHd(OnlineHdConfig {
+            dim: 256,
+            epochs: 4,
+            precision: Precision::Binary,
             refit_epochs: 1,
-        };
+            ..Default::default()
+        });
         let pipeline = Pipeline::fit(&spec, &x, &y).unwrap();
         let engine = InferenceEngine::with_config(
             &pipeline,
@@ -521,22 +520,22 @@ mod tests {
         );
         let outcome = engine.serve((0..x.rows()).map(|r| x.row(r).to_vec()));
         assert_eq!(outcome.predictions, pipeline.predict_batch(&x));
-        assert!(pipeline.downcast_ref::<QuantizedHd>().is_some());
+        let model = pipeline.downcast_ref::<OnlineHd>().unwrap();
+        assert_eq!(model.precision(), Precision::Binary);
     }
 
     #[test]
     fn engine_serves_int8_pipeline_models() {
-        use boosthd::{ModelSpec, Pipeline, QuantizedI8Hd};
+        use boosthd::{ModelSpec, OnlineHd, Pipeline, Precision};
 
         let (x, y) = blobs(48, 8);
-        let spec = ModelSpec::QuantizedI8OnlineHd {
-            base: OnlineHdConfig {
-                dim: 256,
-                epochs: 4,
-                ..Default::default()
-            },
+        let spec = ModelSpec::OnlineHd(OnlineHdConfig {
+            dim: 256,
+            epochs: 4,
+            precision: Precision::Int8,
             refit_epochs: 1,
-        };
+            ..Default::default()
+        });
         let pipeline = Pipeline::fit(&spec, &x, &y).unwrap();
         let engine = InferenceEngine::with_config(
             &pipeline,
@@ -548,7 +547,8 @@ mod tests {
         );
         let outcome = engine.serve((0..x.rows()).map(|r| x.row(r).to_vec()));
         assert_eq!(outcome.predictions, pipeline.predict_batch(&x));
-        assert!(pipeline.downcast_ref::<QuantizedI8Hd>().is_some());
+        let model = pipeline.downcast_ref::<OnlineHd>().unwrap();
+        assert_eq!(model.precision(), Precision::Int8);
     }
 
     #[test]

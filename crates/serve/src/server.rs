@@ -43,9 +43,10 @@
 //! between frames waits indefinitely.
 //!
 //! **Degrade ladder.** With [`DegradeConfig::enabled`], `bind` builds
-//! quantized siblings of the model at startup — f32 → int8
-//! (`quantize_i8()`) → 1-bit (`quantize()`) — and a hysteresis controller
-//! in the batcher walks that ladder: queue depth at flush time at or above
+//! quantized siblings of the model at startup — its encoder over class
+//! memories at f32 → int8 → 1-bit ([`Pipeline::with_precision`]) — and a
+//! hysteresis controller in the batcher walks that ladder: queue depth at
+//! flush time at or above
 //! [`DegradeConfig::high_depth`] for [`DegradeConfig::degrade_after`]
 //! consecutive flushes steps one tier *down* (cheaper, lower-fidelity
 //! scoring); depth at or below [`DegradeConfig::low_depth`] for
@@ -53,7 +54,7 @@
 //! Every predict reply names the tier that served it (`"tier"`). The
 //! ladder's predictions are bit-identical to the corresponding standalone
 //! quantized pipeline: the siblings are built by the same refit-free
-//! `quantize_i8()` / `quantize()` calls. Beyond the last tier there is
+//! `with_precision` conversion. Beyond the last tier there is
 //! nothing left to degrade to — admission control sheds, with
 //! `retry_after_ms` telling clients when to come back.
 //!
@@ -110,7 +111,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use boosthd::fleet::{Fleet, FleetModel};
-use boosthd::{BoostHd, ModelSpec, OnlineHd, Pipeline, Prediction};
+use boosthd::{ModelSpec, Pipeline, Precision, Prediction};
 use linalg::{Matrix, Rng64};
 
 use crate::wire::{
@@ -594,83 +595,32 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The stable tier tag for the model a pipeline was built from.
+/// The stable tier tag for the model a pipeline was built from: its
+/// class-memory precision (`"f32"`, `"int8"`, `"binary"`).
 fn base_tier_tag(spec: &ModelSpec) -> &'static str {
     match spec {
-        ModelSpec::OnlineHd(_) | ModelSpec::CentroidHd(_) | ModelSpec::BoostHd(_) => "f32",
-        ModelSpec::QuantizedI8OnlineHd { .. } | ModelSpec::QuantizedI8BoostHd { .. } => "int8",
-        ModelSpec::QuantizedOnlineHd { .. } | ModelSpec::QuantizedBoostHd { .. } => "binary",
+        ModelSpec::OnlineHd(c) => c.precision.tag(),
+        ModelSpec::BoostHd(c) => c.precision.tag(),
+        ModelSpec::CentroidHd(_) => Precision::F32.tag(),
         ModelSpec::Baseline(_) => "baseline",
     }
 }
 
-/// Builds the degrade ladder: the pipeline itself, then refit-free
-/// quantized siblings where the model family supports them (dense
+/// Builds the degrade ladder: the pipeline itself, then its refit-free
+/// lower-precision siblings where the model family supports them (f32
 /// OnlineHD/BoostHD → int8 → 1-bit). Other families serve a one-rung
 /// ladder.
 fn build_ladder(pipeline: &Arc<Pipeline>, degrade_enabled: bool) -> Vec<(&'static str, Pipeline)> {
-    let mut tiers: Vec<(&'static str, Pipeline)> = vec![(
+    let mut tiers = vec![(
         base_tier_tag(pipeline.spec()),
         Pipeline::clone(pipeline.as_ref()),
     )];
-    if !degrade_enabled {
-        return tiers;
-    }
-    let threshold = pipeline.abstain_threshold();
-    match pipeline.spec().clone() {
-        ModelSpec::OnlineHd(cfg) => {
-            if let Some(m) = pipeline.downcast_ref::<OnlineHd>() {
-                tiers.push((
-                    "int8",
-                    Pipeline::from_model(
-                        ModelSpec::QuantizedI8OnlineHd {
-                            base: cfg,
-                            refit_epochs: 0,
-                        },
-                        Box::new(m.quantize_i8()),
-                    )
-                    .with_abstain_threshold(threshold),
-                ));
-                tiers.push((
-                    "binary",
-                    Pipeline::from_model(
-                        ModelSpec::QuantizedOnlineHd {
-                            base: cfg,
-                            refit_epochs: 0,
-                        },
-                        Box::new(m.quantize()),
-                    )
-                    .with_abstain_threshold(threshold),
-                ));
+    if degrade_enabled {
+        for precision in [Precision::Int8, Precision::Binary] {
+            if let Ok(tier) = pipeline.with_precision(precision) {
+                tiers.push((precision.tag(), tier));
             }
         }
-        ModelSpec::BoostHd(cfg) => {
-            if let Some(m) = pipeline.downcast_ref::<BoostHd>() {
-                tiers.push((
-                    "int8",
-                    Pipeline::from_model(
-                        ModelSpec::QuantizedI8BoostHd {
-                            base: cfg,
-                            refit_epochs: 0,
-                        },
-                        Box::new(m.quantize_i8()),
-                    )
-                    .with_abstain_threshold(threshold),
-                ));
-                tiers.push((
-                    "binary",
-                    Pipeline::from_model(
-                        ModelSpec::QuantizedBoostHd {
-                            base: cfg,
-                            refit_epochs: 0,
-                        },
-                        Box::new(m.quantize()),
-                    )
-                    .with_abstain_threshold(threshold),
-                ));
-            }
-        }
-        _ => {}
     }
     tiers
 }
@@ -995,7 +945,8 @@ impl Server {
             // The drain deadline fired with the batcher wedged (a stalled
             // flush, or a chaos pause never released): force-abort. Queued
             // requests resolve by dropping their reply senders; handlers
-            // answer an `internal` error and exit.
+            // answer an `internal` error and exit (step 3 keeps their
+            // write halves open until they have).
             self.inner
                 .stats
                 .aborted_drains
@@ -1016,19 +967,32 @@ impl Server {
             } else {
                 let _ = self.batcher_thread.take();
             }
-            for stream in lock(&self.inner.conns).iter() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
         }
         // 3. Handlers: the batcher has resolved every admitted request,
         // but handlers may still be writing those replies out. Shut down
         // only the READ half of each connection: parked readers wake with
         // EOF and exit, while the write half stays open so every pending
-        // reply still reaches its client.
+        // reply — the `internal` error of a forced abort included — still
+        // reaches its client.
         for stream in lock(&self.inner.conns).iter() {
             let _ = stream.shutdown(Shutdown::Read);
         }
         let handlers: Vec<JoinHandle<()>> = lock(&self.handler_threads).drain(..).collect();
+        if !drained {
+            // After a forced abort a handler may be stuck writing to a
+            // client that stopped reading. Give every handler one bounded
+            // window to finish; only if some are still alive after it,
+            // close both halves so they unblock and the join below ends.
+            let grace = Instant::now() + Duration::from_millis(250);
+            while handlers.iter().any(|h| !h.is_finished()) && Instant::now() < grace {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if handlers.iter().any(|h| !h.is_finished()) {
+                for stream in lock(&self.inner.conns).iter() {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+            }
+        }
         for h in handlers {
             let _ = h.join();
         }

@@ -499,8 +499,8 @@ fn degraded_tier_predictions_match_standalone_quantized_pipeline() {
     // same fitted pipeline by hand.
     let pipeline = trained_pipeline();
     let online = pipeline.downcast_ref::<boosthd::OnlineHd>().unwrap();
-    let standalone_i8 = online.quantize_i8();
-    let standalone_bin = online.quantize();
+    let standalone_i8 = online.with_precision(boosthd::Precision::Int8).unwrap();
+    let standalone_bin = online.with_precision(boosthd::Precision::Binary).unwrap();
 
     let server = Server::bind(
         Arc::clone(&pipeline),

@@ -73,20 +73,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 6. Freeze for the device: the quantized variants are just another
     //    spec — trained in f32, refit against the binarized classes, and
     //    stored bitpacked (32x smaller class memory, XOR+popcount scoring).
-    let packed_spec = ModelSpec::QuantizedBoostHd {
-        base: BoostHdConfig {
-            dim_total: 4000,
-            n_learners: 10,
-            ..Default::default()
-        },
+    let packed_spec = ModelSpec::BoostHd(BoostHdConfig {
+        dim_total: 4000,
+        n_learners: 10,
+        precision: Precision::Binary,
         refit_epochs: 5,
-    };
+        ..Default::default()
+    });
     let packed = Pipeline::fit(&packed_spec, train.features(), train.labels())?;
     println!(
         "bitpacked BoostHD accuracy: {:.2}% with {} B of class memory",
         acc(&packed.predict_batch(test.features())),
         packed
-            .downcast_ref::<QuantizedBoostHd>()
+            .downcast_ref::<BoostHd>()
             .expect("spec-built packed ensemble")
             .class_storage_bytes()
     );

@@ -73,8 +73,8 @@ pub mod prelude {
     };
     pub use boosthd::{
         BaselineKind, BaselineSpec, BoostHd, BoostHdConfig, CentroidHd, CentroidHdConfig,
-        Classifier, Model, ModelSpec, OnlineHd, OnlineHdConfig, Pipeline, Prediction,
-        QuantizedBoostHd, QuantizedHd, Voting,
+        ClassMemory, Classifier, Model, ModelSpec, OnlineHd, OnlineHdConfig, Pipeline, Precision,
+        Prediction, Voting,
     };
     pub use boosthd_serve::{EngineConfig, InferenceEngine};
     pub use eval_harness;

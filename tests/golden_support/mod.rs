@@ -1,7 +1,10 @@
 //! Builds the golden-digest cases through the model API: one trained
 //! pipeline per family × precision tier × refit epochs.
 
-use boosthd::{BoostHdConfig, CentroidHd, CentroidHdConfig, ModelSpec, OnlineHdConfig, Pipeline};
+use boosthd::boost::EnsembleMode;
+use boosthd::{
+    BoostHdConfig, CentroidHd, CentroidHdConfig, ModelSpec, OnlineHdConfig, Pipeline, Precision,
+};
 use linalg::Matrix;
 
 /// Model family of a golden case.
@@ -21,26 +24,13 @@ pub enum Tier {
     Binary,
 }
 
-fn online_config(seed: u64) -> OnlineHdConfig {
-    OnlineHdConfig {
-        dim: 256,
-        epochs: 3,
-        seed,
-        ..Default::default()
-    }
-}
-
-fn boost_config(family: Family, seed: u64) -> BoostHdConfig {
-    BoostHdConfig {
-        dim_total: 256,
-        n_learners: 4,
-        epochs: 3,
-        mode: match family {
-            Family::BoostFull => boosthd::boost::EnsembleMode::FullDimension,
-            _ => boosthd::boost::EnsembleMode::Partitioned,
-        },
-        seed,
-        ..Default::default()
+impl Tier {
+    fn precision(self) -> Precision {
+        match self {
+            Tier::F32 => Precision::F32,
+            Tier::Int8 => Precision::Int8,
+            Tier::Binary => Precision::Binary,
+        }
     }
 }
 
@@ -53,64 +43,35 @@ pub fn build(
     y: &[usize],
     seed: u64,
 ) -> Pipeline {
-    match family {
-        Family::Online => {
-            let base = online_config(seed);
-            let spec = match tier {
-                Tier::F32 => ModelSpec::OnlineHd(base),
-                Tier::Int8 => ModelSpec::QuantizedI8OnlineHd {
-                    base,
-                    refit_epochs: refit,
-                },
-                Tier::Binary => ModelSpec::QuantizedOnlineHd {
-                    base,
-                    refit_epochs: refit,
-                },
-            };
-            Pipeline::fit(&spec, x, y).unwrap()
-        }
-        Family::BoostPartitioned | Family::BoostFull => {
-            let base = boost_config(family, seed);
-            let spec = match tier {
-                Tier::F32 => ModelSpec::BoostHd(base),
-                Tier::Int8 => ModelSpec::QuantizedI8BoostHd {
-                    base,
-                    refit_epochs: refit,
-                },
-                Tier::Binary => ModelSpec::QuantizedBoostHd {
-                    base,
-                    refit_epochs: refit,
-                },
-            };
-            Pipeline::fit(&spec, x, y).unwrap()
-        }
+    let precision = tier.precision();
+    let spec = match family {
+        Family::Online => ModelSpec::OnlineHd(OnlineHdConfig {
+            dim: 256,
+            epochs: 3,
+            seed,
+            precision,
+            refit_epochs: refit,
+            ..Default::default()
+        }),
+        Family::BoostPartitioned | Family::BoostFull => ModelSpec::BoostHd(BoostHdConfig {
+            dim_total: 256,
+            n_learners: 4,
+            epochs: 3,
+            mode: match family {
+                Family::BoostFull => EnsembleMode::FullDimension,
+                _ => EnsembleMode::Partitioned,
+            },
+            seed,
+            precision,
+            refit_epochs: refit,
+            ..Default::default()
+        }),
         Family::Centroid => {
             let cfg = CentroidHdConfig { dim: 256, seed };
             let model = CentroidHd::fit(&cfg, x, y).unwrap();
-            // No centroid spec carries a precision here: the quantized
-            // centroid persists through the single-learner codec.
-            let base = OnlineHdConfig {
-                dim: 256,
-                seed,
-                ..Default::default()
-            };
-            match tier {
-                Tier::F32 => Pipeline::from_model(ModelSpec::CentroidHd(cfg), Box::new(model)),
-                Tier::Int8 => Pipeline::from_model(
-                    ModelSpec::QuantizedI8OnlineHd {
-                        base,
-                        refit_epochs: 0,
-                    },
-                    Box::new(model.quantize_i8()),
-                ),
-                Tier::Binary => Pipeline::from_model(
-                    ModelSpec::QuantizedOnlineHd {
-                        base,
-                        refit_epochs: 0,
-                    },
-                    Box::new(model.quantize()),
-                ),
-            }
+            let frozen = model.with_precision(precision).unwrap();
+            return Pipeline::from_model(ModelSpec::CentroidHd(cfg), Box::new(frozen));
         }
-    }
+    };
+    Pipeline::fit(&spec, x, y).unwrap()
 }

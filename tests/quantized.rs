@@ -3,9 +3,7 @@
 //! round-trips, and absorb packed-word bit flips — the full deployment
 //! story for a 1-bit associative memory.
 
-use boosthd::{QuantizedBoostHd, QuantizedHd};
 use boosthd_repro::prelude::*;
-use reliability::flip_sign_bits;
 
 fn small_split() -> (Dataset, Dataset) {
     let profile = DatasetProfile {
@@ -35,7 +33,7 @@ fn quantized_boosthd_stays_within_three_points_of_f32_on_wesad_like() {
     // The recommended deployment flow: a few epochs of quantization-aware
     // refit before freezing. Holds the 3-point budget at D_wl = 400.
     let refit = model
-        .quantize_with_refit(train.features(), train.labels(), 5)
+        .with_precision_refit(Precision::Binary, train.features(), train.labels(), 5)
         .unwrap();
     let refit_acc =
         eval_harness::metrics::accuracy(&refit.predict_batch(test.features()), test.labels());
@@ -46,7 +44,7 @@ fn quantized_boosthd_stays_within_three_points_of_f32_on_wesad_like() {
 
     // Data-free sign binarization is lossier (sign-rounding noise ~1/√D_wl
     // per learner) but must stay in the same accuracy regime.
-    let plain = model.quantize();
+    let plain = model.with_precision(Precision::Binary).unwrap();
     let plain_acc =
         eval_harness::metrics::accuracy(&plain.predict_batch(test.features()), test.labels());
     assert!(
@@ -67,7 +65,7 @@ fn quantized_onlinehd_stays_within_three_points_of_f32_on_wesad_like() {
         ..Default::default()
     };
     let model = OnlineHd::fit(&config, train.features(), train.labels()).unwrap();
-    let quantized = model.quantize();
+    let quantized = model.with_precision(Precision::Binary).unwrap();
     let f32_acc =
         eval_harness::metrics::accuracy(&model.predict_batch(test.features()), test.labels());
     let quant_acc =
@@ -88,14 +86,16 @@ fn quantized_ensemble_survives_disk_and_packed_faults() {
     };
     let quantized = BoostHd::fit(&config, train.features(), train.labels())
         .unwrap()
-        .quantize();
+        .with_precision(Precision::Binary)
+        .unwrap();
 
     // Ship to the device and back.
     let dir = std::env::temp_dir().join("boosthd_quantized_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("ensemble.qbhd");
     quantized.save(&path).unwrap();
-    let mut on_device = QuantizedBoostHd::load(&path).unwrap();
+    let mut on_device = BoostHd::load(&path).unwrap();
+    assert_eq!(on_device.precision(), Precision::Binary);
     std::fs::remove_file(&path).ok();
     assert_eq!(
         quantized.predict_batch(test.features()),
@@ -108,7 +108,7 @@ fn quantized_ensemble_survives_disk_and_packed_faults() {
     let clean_acc =
         eval_harness::metrics::accuracy(&on_device.predict_batch(test.features()), test.labels());
     let mut rng = Rng64::seed_from(11);
-    let report = flip_sign_bits(&mut on_device, 1e-3, &mut rng);
+    let report = Model::inject_bitflips(&mut on_device, 1e-3, &mut rng).unwrap();
     assert!(report.flipped > 0);
     let faulty_acc =
         eval_harness::metrics::accuracy(&on_device.predict_batch(test.features()), test.labels());
@@ -127,8 +127,9 @@ fn quantized_onlinehd_round_trips_and_batches_consistently() {
     };
     let quantized = OnlineHd::fit(&config, train.features(), train.labels())
         .unwrap()
-        .quantize();
-    let restored = QuantizedHd::from_bytes(&quantized.to_bytes()).unwrap();
+        .with_precision(Precision::Binary)
+        .unwrap();
+    let restored = OnlineHd::from_bytes(&quantized.to_bytes()).unwrap();
     let batch = restored.predict_batch(test.features());
     let rowwise: Vec<usize> = (0..test.features().rows())
         .map(|r| restored.predict(test.features().row(r)))

@@ -34,23 +34,21 @@ fn hdc_specs() -> Vec<ModelSpec> {
             epochs: 5,
             ..Default::default()
         }),
-        ModelSpec::QuantizedOnlineHd {
-            base: OnlineHdConfig {
-                dim: 256,
-                epochs: 5,
-                ..Default::default()
-            },
+        ModelSpec::OnlineHd(OnlineHdConfig {
+            dim: 256,
+            epochs: 5,
+            precision: Precision::Binary,
             refit_epochs: 2,
-        },
-        ModelSpec::QuantizedBoostHd {
-            base: BoostHdConfig {
-                dim_total: 400,
-                n_learners: 5,
-                epochs: 5,
-                ..Default::default()
-            },
+            ..Default::default()
+        }),
+        ModelSpec::BoostHd(BoostHdConfig {
+            dim_total: 400,
+            n_learners: 5,
+            epochs: 5,
+            precision: Precision::Binary,
             refit_epochs: 2,
-        },
+            ..Default::default()
+        }),
     ]
 }
 

@@ -11,7 +11,7 @@ use boosthd::classifier::predict_batch_chunked_with;
 use boosthd::parallel::{chunk_bounds, parallel_map_indices_with, ExecBackend};
 use boosthd::{
     BoostHd, BoostHdConfig, CentroidHd, CentroidHdConfig, Classifier, ModelSpec, OnlineHd,
-    OnlineHdConfig, Pipeline,
+    OnlineHdConfig, Pipeline, Precision,
 };
 use linalg::{Matrix, Rng64};
 
@@ -60,8 +60,12 @@ fn predict_batch_is_bit_identical_across_backends_and_thread_counts() {
     )
     .unwrap();
     assert_backend_invariant(&online, &x, "OnlineHD");
-    assert_backend_invariant(&online.quantize(), &x, "bitpacked OnlineHD");
-    assert_backend_invariant(&online.quantize_i8(), &x, "int8 OnlineHD");
+    for (precision, name) in [
+        (Precision::Binary, "bitpacked OnlineHD"),
+        (Precision::Int8, "int8 OnlineHD"),
+    ] {
+        assert_backend_invariant(&online.with_precision(precision).unwrap(), &x, name);
+    }
 
     let boost = BoostHd::fit(
         &BoostHdConfig {
