@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! +--------------------------------------------------------------+
-//! | header: "BHFS" magic (u32 LE) | version u8 (3) | 3 pad bytes |  8 B
+//! | header: "BHFS" magic (u32 LE) | version u8 (4) | 3 pad bytes |  8 B
 //! +--------------------------------------------------------------+
 //! | record 0  (8-aligned)                                        |
 //! |   "FREC" magic u32 | kind u32 (0 = model, 1 = encoder)       |
@@ -35,25 +35,26 @@
 //! |     model:   class memory                                    |
 //! |     encoder: transposed projection, then phase vector        |
 //! +--------------------------------------------------------------+
-//! | record 1 ... record N-1 (each starts 8-aligned)              |
+//! | record 1 ... record N-1 (each starts where the last ends)    |
 //! +--------------------------------------------------------------+
-//! | footer index:                                                |
-//! |   model_count u64, then per model record:                    |
-//! |     id_len u64 | id bytes | version u64 | offset u64         |
-//! |     | total_len u64                                          |
-//! |   encoder_count u64, then per encoder record:                |
-//! |     offset u64 | total_len u64 | fingerprint u64             |
-//! | trailer (last 40 bytes of the file):                         |
+//! | footer index: one tagged entry per record, in file order:    |
+//! |   model:   tag u64 (0) | id_len u64 | id bytes | version u64 |
+//! |            | offset u64 | total_len u64                      |
+//! |   encoder: tag u64 (1) | offset u64 | total_len u64          |
+//! |            | fingerprint u64                                 |
+//! | trailer (last 48 bytes of the file):                         |
 //! |   index_off u64 | index_len u64 | index_checksum u64         |
-//! |   | model_count u64 | "BHFSIDX\0" magic u64                  |
+//! |   | model_count u64 | encoder_count u64                      |
+//! |   | "BHFSIDX\0" magic u64                                    |
 //! +--------------------------------------------------------------+
 //! ```
 //!
-//! **Version invariant.** This is format version 3: each model record's
+//! **Version invariant.** This is format version 4: each model record's
 //! structure stream is the current BHD1 model grammar ([`crate::persist`]),
-//! with a precision tag in front of every class memory.
-//! [`ModelStore::open`] reads version 3 only and rejects any other with a
-//! message asking for the store to be rebuilt.
+//! with a precision tag in front of every class memory, and the footer
+//! index is append-ordered and tagged. [`ModelStore::open`] reads version
+//! 4 only and rejects any other with a message asking for the store to be
+//! rebuilt.
 //!
 //! **Alignment invariant.** Every record starts on an 8-byte boundary
 //! and its payload heap starts on an 8-byte boundary *within* the
@@ -68,26 +69,42 @@
 //! flipped bit on disk surfaces as a descriptive error rather than a
 //! corrupt model — for an encoder record, on every model built on it.
 //!
+//! **Index invariant.** The footer index lists every record in file
+//! order, so it is byte for byte the index a scan of the records builds.
+//! An open store keeps the index bytes and the running FNV-1a state over
+//! them, built once when it opens (from the footer, or from the scan);
+//! each append extends both by its own records only, so a publish never
+//! re-serializes or re-hashes the entries before it. The footer's bytes
+//! are still rewritten on every publish.
+//!
 //! **Sharing invariant.** [`ModelStore::append`] writes an encoder
 //! record only for an encoder no earlier record holds. Two encoders are
 //! the same only when their shape, projection bytes, and phase bytes are
 //! equal: a sampled fingerprint picks candidates and a full byte
-//! comparison confirms them. Loads decode every model built on one
-//! encoder record out of one cached blob (held while any loaded model
-//! uses it), so their projections are one allocation; the copy-on-write
-//! storage in [`linalg::share`] keeps a mutation, such as fault
-//! injection, local to the model that makes it.
+//! comparison confirms them. Both read the live encoder, so an append
+//! serializes only the encoders it writes. Loads decode every model built
+//! on one encoder record out of one cached blob (held while any loaded
+//! model uses it), so their projections are one allocation; the
+//! copy-on-write storage in [`linalg::share`] keeps a mutation, such as
+//! fault injection, local to the model that makes it.
 //!
-//! **Durability invariant.** [`ModelStore::append`] seeks to the end
-//! of the record region (overwriting the previous footer), writes the
-//! new encoder records and then the model records that reference them,
-//! `fsync`s the data, and only then writes + `fsync`s the new footer. A
-//! crash at any point leaves either the old footer intact or a
-//! missing/torn footer; [`ModelStore::open`] falls back to scanning the
-//! self-delimiting records from the top and keeps exactly the
-//! checksum-valid prefix, ending it early at any model record whose
-//! encoder record is not in that prefix. A store is never
-//! loadable-but-corrupt.
+//! **Durability invariant.** [`ModelStore::append`] seeks to the end of
+//! the record region (overwriting the previous footer), writes the new
+//! encoder records and then the model records that reference them, and
+//! `fsync`s. That one `fsync` is the commit point: once it returns, the
+//! publish survives any crash. The append then writes the new footer
+//! behind the records without an `fsync` of its own (trimming the file
+//! only when it would shrink), so the footer reaches the disk only after
+//! the records it indexes. A crash or power cut at any point leaves the
+//! old footer intact, a missing or torn footer, or a stale trailer at the
+//! end of the file whose index bytes the new records overwrote. The last
+//! two fail the trailer's magic, geometry or index checksum, and
+//! [`ModelStore::open`] falls back to scanning the self-delimiting
+//! records from the top and keeps exactly the checksum-valid prefix,
+//! ending it early at any model record whose encoder record is not in
+//! that prefix. A power cut between the commit and writeback of the
+//! footer therefore costs the next open one full scan and loses no
+//! publish `append` returned. A store is never loadable-but-corrupt.
 //!
 //! # The registry
 //!
@@ -100,7 +117,7 @@
 //! until the last snapshot drops ([`Fleet::draining_count`]).
 
 use crate::error::{BoostHdError, Result};
-use crate::persist::{encoder_from_parts, RecordParts};
+use crate::persist::{encoder_from_parts, EncoderBody, RecordParts};
 use crate::pipeline::Pipeline;
 use hdc::encoder::SinusoidEncoder;
 use linalg::Blob;
@@ -112,20 +129,23 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, Weak};
 
 const STORE_MAGIC: u32 = u32::from_le_bytes(*b"BHFS");
-const STORE_VERSION: u8 = 3;
+const STORE_VERSION: u8 = 4;
 const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"FREC");
-/// Record kind of a published model tier.
+/// Record kind (and footer index tag) of a published model tier.
 const KIND_MODEL: u32 = 0;
-/// Record kind of a stored encoder that model records reference.
+/// Record kind (and footer index tag) of a stored encoder that model
+/// records reference.
 const KIND_ENCODER: u32 = 1;
 const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"BHFSIDX\0");
 const HEADER_LEN: u64 = 8;
 const RECORD_HEADER_LEN: u64 = 48;
-const TRAILER_LEN: u64 = 40;
+const TRAILER_LEN: u64 = 48;
 /// Per-record ceiling; rejects absurd length fields before allocating.
 const MAX_RECORD_LEN: u64 = 1 << 40;
 /// Heap words an encoder fingerprint samples.
 const FINGERPRINT_SAMPLES: usize = 64;
+/// FNV-1a 64 offset basis: the hash state before any byte.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn store_err(reason: impl Into<String>) -> BoostHdError {
     BoostHdError::DataMismatch {
@@ -148,7 +168,12 @@ fn with_context(what: &str, e: BoostHdError) -> BoostHdError {
 
 /// FNV-1a 64-bit; the store's per-record and footer checksum.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a 64 hash whose state is `hash` over `bytes`, so a
+/// hash over a growing buffer costs only its new bytes.
+fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -158,20 +183,31 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Dedup candidate filter for encoder records: FNV-1a over the encoder's
 /// structure stream, its heap length, and [`FINGERPRINT_SAMPLES`] heap
-/// words at an even stride. Equal encoders always share a fingerprint;
-/// a shared fingerprint only nominates a candidate, which a full byte
-/// comparison must confirm. Costs the same for any encoder size.
-fn encoder_fingerprint(structure: &[u8], heap: &[u8]) -> u64 {
-    let words = heap.len() / 8;
+/// words at an even stride, `word(w)` giving the heap's `w`-th 8 bytes.
+/// Equal encoders always share a fingerprint; a shared fingerprint only
+/// nominates a candidate, which a full byte comparison must confirm.
+/// Costs the same for any encoder size.
+fn encoder_fingerprint(structure: &[u8], heap_len: usize, word: impl Fn(usize) -> [u8; 8]) -> u64 {
+    let words = heap_len / 8;
     let samples = FINGERPRINT_SAMPLES.min(words);
-    let mut probe = Vec::with_capacity(structure.len() + 8 * (samples + 1));
-    probe.extend_from_slice(structure);
-    push_u64(&mut probe, heap.len() as u64);
+    let mut hash = fnv1a64_extend(FNV_OFFSET, structure);
+    hash = fnv1a64_extend(hash, &(heap_len as u64).to_le_bytes());
     for i in 0..samples {
-        let w = i * words / samples;
-        probe.extend_from_slice(&heap[w * 8..w * 8 + 8]);
+        hash = fnv1a64_extend(hash, &word(i * words / samples));
     }
-    fnv1a64(&probe)
+    hash
+}
+
+/// [`encoder_fingerprint`] of a stored encoder record's meta and heap.
+fn record_fingerprint(structure: &[u8], heap: &[u8]) -> u64 {
+    encoder_fingerprint(structure, heap.len(), |w| {
+        heap[w * 8..w * 8 + 8].try_into().expect("8-byte word")
+    })
+}
+
+/// [`encoder_fingerprint`] of a live encoder, without serializing it.
+fn body_fingerprint(body: &EncoderBody<'_>) -> u64 {
+    encoder_fingerprint(body.structure(), body.heap_len(), |w| body.heap_word(w))
 }
 
 fn align8(n: u64) -> u64 {
@@ -220,7 +256,8 @@ struct EncoderEntry {
 }
 
 /// Append-only on-disk model store (`.bhfs`). See the module docs for
-/// the record format and its alignment/checksum/durability invariants.
+/// the record format and its alignment/checksum/index/durability
+/// invariants.
 pub struct ModelStore {
     path: PathBuf,
     file: Mutex<File>,
@@ -236,28 +273,115 @@ struct StoreState {
     encoders: Vec<EncoderEntry>,
     /// Byte offset one past the last record; the footer starts here.
     record_end: u64,
+    /// The footer index over every record above, in file order.
+    index: Vec<u8>,
+    /// FNV-1a state over `index`: its checksum, extended per append.
+    index_hash: u64,
+    /// Store file length as this store last left it.
+    file_len: u64,
+}
+
+/// Where a [`StoreState`] stood before an append, so a failed append
+/// can be undone.
+#[derive(Debug, Clone, Copy)]
+struct StateMark {
+    entries: usize,
+    encoders: usize,
+    record_end: u64,
+    index_len: usize,
+    index_hash: u64,
 }
 
 impl StoreState {
-    fn new(entries: Vec<StoreEntry>, encoders: Vec<EncoderEntry>, record_end: u64) -> Self {
-        let mut st = StoreState {
+    /// A state with no records, for a file `file_len` bytes long.
+    fn new(file_len: u64) -> Self {
+        StoreState {
             entries: Vec::new(),
             by_id: HashMap::new(),
-            encoders,
-            record_end,
-        };
-        for entry in entries {
-            st.push_entry(entry);
+            encoders: Vec::new(),
+            record_end: HEADER_LEN,
+            index: Vec::new(),
+            index_hash: FNV_OFFSET,
+            file_len,
         }
-        st
     }
 
-    fn push_entry(&mut self, entry: StoreEntry) {
+    /// Lists the model record `entry`, which must start at `record_end`.
+    fn push_model(&mut self, entry: StoreEntry) {
+        debug_assert_eq!(entry.offset, self.record_end, "records are contiguous");
+        let start = self.index.len();
+        push_u64(&mut self.index, KIND_MODEL as u64);
+        push_u64(&mut self.index, entry.model_id.len() as u64);
+        self.index.extend_from_slice(entry.model_id.as_bytes());
+        for v in [entry.version, entry.offset, entry.total_len] {
+            push_u64(&mut self.index, v);
+        }
+        self.index_hash = fnv1a64_extend(self.index_hash, &self.index[start..]);
+        self.record_end = entry.offset + entry.total_len;
         self.by_id
             .entry(entry.model_id.clone())
             .or_default()
             .push(self.entries.len());
         self.entries.push(entry);
+    }
+
+    /// Lists the encoder record `entry`, which must start at `record_end`.
+    fn push_encoder(&mut self, entry: EncoderEntry) {
+        debug_assert_eq!(entry.offset, self.record_end, "records are contiguous");
+        let start = self.index.len();
+        for v in [
+            KIND_ENCODER as u64,
+            entry.offset,
+            entry.total_len,
+            entry.fingerprint,
+        ] {
+            push_u64(&mut self.index, v);
+        }
+        self.index_hash = fnv1a64_extend(self.index_hash, &self.index[start..]);
+        self.record_end = entry.offset + entry.total_len;
+        self.encoders.push(entry);
+    }
+
+    fn mark(&self) -> StateMark {
+        StateMark {
+            entries: self.entries.len(),
+            encoders: self.encoders.len(),
+            record_end: self.record_end,
+            index_len: self.index.len(),
+            index_hash: self.index_hash,
+        }
+    }
+
+    /// Forgets every record listed since `mark`.
+    fn rollback(&mut self, mark: StateMark) {
+        for entry in self.entries.drain(mark.entries..) {
+            if let Some(ix) = self.by_id.get_mut(&entry.model_id) {
+                ix.pop();
+                if ix.is_empty() {
+                    self.by_id.remove(&entry.model_id);
+                }
+            }
+        }
+        self.encoders.truncate(mark.encoders);
+        self.record_end = mark.record_end;
+        self.index.truncate(mark.index_len);
+        self.index_hash = mark.index_hash;
+    }
+
+    /// The footer trailer for the current index.
+    fn trailer(&self) -> Vec<u8> {
+        let mut trailer = Vec::with_capacity(TRAILER_LEN as usize);
+        for v in [
+            self.record_end,
+            self.index.len() as u64,
+            self.index_hash,
+            self.entries.len() as u64,
+            self.encoders.len() as u64,
+            FOOTER_MAGIC,
+        ] {
+            push_u64(&mut trailer, v);
+        }
+        trailer
     }
 
     /// `model_id`'s records, in append order.
@@ -295,8 +419,9 @@ impl ModelStore {
         header.push(STORE_VERSION);
         header.extend_from_slice(&[0u8; 3]);
         file.write_all(&header).map_err(|e| io_err("write", e))?;
-        write_footer(&mut file, &[], &[], HEADER_LEN)?;
-        let state = StoreState::new(Vec::new(), Vec::new(), HEADER_LEN);
+        let mut state = StoreState::new(HEADER_LEN);
+        write_footer(&mut file, &mut state)?;
+        file.sync_all().map_err(|e| io_err("fsync", e))?;
         Ok(Self {
             path,
             file: Mutex::new(file),
@@ -332,7 +457,7 @@ impl ModelStore {
             STORE_VERSION => {}
             old if old < STORE_VERSION => {
                 return Err(store_err(format!(
-                    "fleet store version {old} predates this build's model records; \
+                    "fleet store version {old} predates this build's store format; \
                      this build reads version {STORE_VERSION} only: rebuild the store by \
                      publishing its models again"
                 )))
@@ -381,16 +506,17 @@ impl ModelStore {
     }
 
     /// Appends one published model — all its degrade-ladder tiers, most
-    /// precise first — under `(model_id, version)` and atomically
-    /// republishes the footer, so the tiers become visible as one unit.
-    /// Each stored encoder the tiers use is written as an encoder record
-    /// only if no earlier record holds the same encoder; the model
-    /// records reference it either way.
+    /// precise first — under `(model_id, version)` and republishes the
+    /// footer, so the tiers become visible as one unit. Each stored
+    /// encoder the tiers use is written as an encoder record only if no
+    /// earlier record holds the same encoder; the model records reference
+    /// it either way.
     ///
-    /// Durability: record bytes are written and `fsync`ed before the
-    /// footer that names them is written and `fsync`ed. A crash in
-    /// between leaves a store that recovers to either the old or the
-    /// new index, never to a torn record.
+    /// Durability: the record bytes are written and `fsync`ed; that
+    /// `fsync` commits the publish. The footer that names them is written
+    /// after it without a second `fsync`: a crash before it reaches the
+    /// disk costs the next [`ModelStore::open`] a scan of the records,
+    /// which recovers every committed publish and never a torn record.
     pub fn append(&self, model_id: &str, version: u64, tiers: &[&Pipeline]) -> Result<()> {
         if tiers.is_empty() {
             return Err(store_err("refusing to publish a model with zero tiers"));
@@ -410,26 +536,22 @@ impl ModelStore {
             .open(&self.path)
             .map_err(|e| io_err("open for append", e))?;
         let mut st = self.state.lock().unwrap();
-        let (models_before, encoders_before) = (st.entries.len(), st.encoders.len());
-        match append_locked(&mut st, &mut file, model_id, version, &parts) {
-            Ok(()) => {
-                // Refresh the shared read handle: the old one is still
-                // valid (records never move), but keeping it in sync keeps
-                // recovery reasoning simple.
-                *self.file.lock().unwrap() = file;
-                Ok(())
-            }
-            Err(e) => {
-                // Every entry this append pushed is `model_id`'s.
-                let pushed = st.entries.len() - models_before;
-                st.entries.truncate(models_before);
-                if let Some(ix) = st.by_id.get_mut(model_id) {
-                    ix.truncate(ix.len() - pushed);
-                }
-                st.encoders.truncate(encoders_before);
-                Err(e)
-            }
+        let mark = st.mark();
+        if let Err(e) = append_locked(&mut st, &mut file, model_id, version, &parts) {
+            // Its records may have reached the file before the error.
+            st.file_len = st.file_len.max(st.record_end);
+            st.rollback(mark);
+            return Err(e);
         }
+        // Committed. The footer only caches the index the records already
+        // hold, so failing to write it costs the next open a scan, not
+        // this publish.
+        let _ = write_footer(&mut file, &mut st);
+        // Refresh the shared read handle: the old one is still valid
+        // (records never move), but keeping it in sync keeps recovery
+        // reasoning simple.
+        *self.file.lock().unwrap() = file;
+        Ok(())
     }
 
     /// Loads every tier published under `(model_id, version)` as one
@@ -566,41 +688,49 @@ impl ModelStore {
     }
 }
 
-/// Writes one append's records and the footer that names them, pushing
-/// the new entries onto `st` (the caller rolls them back on error).
+/// Writes one append's records and `fsync`s them — the commit point —
+/// listing the new records in `st` (the caller rolls them back on
+/// error). Writes no footer.
 fn append_locked(
     st: &mut StoreState,
     file: &mut File,
     model_id: &str,
     version: u64,
-    parts: &[(RecordParts, Vec<RecordParts>)],
+    parts: &[(RecordParts, Vec<SinusoidEncoder>)],
 ) -> Result<()> {
+    let start = st.record_end;
     let stored_encoders = st.encoders.len();
-    let mut offset = st.record_end;
-    let mut records = Vec::new();
-    // Encoder records this append writes, for the tiers that share them.
-    let mut written: Vec<(u64, &RecordParts)> = Vec::new();
+    let mut records: Vec<Vec<u8>> = Vec::new();
+    // Encoder records this append writes, for the tiers that share them:
+    // offset, fingerprint, and position in `records`.
+    let mut written: Vec<(u64, u64, usize)> = Vec::new();
     for (body, encoders) in parts {
         let mut encoder_refs = Vec::with_capacity(encoders.len());
         for encoder in encoders {
-            let fingerprint = encoder_fingerprint(&encoder.structure, &encoder.heap);
-            let known = match written.iter().find(|(_, w)| *w == encoder) {
-                Some(&(at, _)) => Some(at),
-                None => find_encoder(file, &st.encoders[..stored_encoders], fingerprint, encoder)?,
+            let live = EncoderBody::new(encoder);
+            let fingerprint = body_fingerprint(&live);
+            let known = match written
+                .iter()
+                .find(|&&(_, fp, i)| fp == fingerprint && record_holds(&records[i], &live))
+            {
+                Some(&(at, _, _)) => Some(at),
+                None => find_encoder(file, &st.encoders[..stored_encoders], fingerprint, &live)?,
             };
             let at = match known {
                 Some(at) => at,
                 None => {
-                    let record = encode_record(KIND_ENCODER, &encoder.structure, &encoder.heap);
-                    st.encoders.push(EncoderEntry {
-                        offset,
+                    // Serialize only the encoders this append writes.
+                    let serialized = live.to_parts();
+                    let record =
+                        encode_record(KIND_ENCODER, &serialized.structure, &serialized.heap);
+                    let at = st.record_end;
+                    st.push_encoder(EncoderEntry {
+                        offset: at,
                         total_len: record.len() as u64,
                         fingerprint,
                         blob: Weak::new(),
                     });
-                    written.push((offset, encoder));
-                    let at = offset;
-                    offset += record.len() as u64;
+                    written.push((at, fingerprint, records.len()));
                     records.push(record);
                     at
                 }
@@ -609,24 +739,20 @@ fn append_locked(
         }
         let meta = model_meta(model_id, version, &encoder_refs, &body.structure);
         let record = encode_record(KIND_MODEL, &meta, &body.heap);
-        st.push_entry(StoreEntry {
+        st.push_model(StoreEntry {
             model_id: model_id.to_string(),
             version,
-            offset,
+            offset: st.record_end,
             total_len: record.len() as u64,
         });
-        offset += record.len() as u64;
         records.push(record);
     }
-    file.seek(SeekFrom::Start(st.record_end))
+    file.seek(SeekFrom::Start(start))
         .map_err(|e| io_err("seek", e))?;
     for record in &records {
         file.write_all(record).map_err(|e| io_err("write", e))?;
     }
-    file.sync_all().map_err(|e| io_err("fsync", e))?;
-    write_footer(file, &st.entries, &st.encoders, offset)?;
-    st.record_end = offset;
-    Ok(())
+    file.sync_all().map_err(|e| io_err("fsync", e))
 }
 
 /// The first of `stored` whose record holds exactly `encoder`'s bytes.
@@ -636,12 +762,12 @@ fn find_encoder(
     file: &mut File,
     stored: &[EncoderEntry],
     fingerprint: u64,
-    encoder: &RecordParts,
+    encoder: &EncoderBody<'_>,
 ) -> Result<Option<u64>> {
     for candidate in stored.iter().filter(|e| e.fingerprint == fingerprint) {
         let same = match candidate.blob.upgrade() {
-            Some(blob) => record_body_matches(blob.as_bytes(), encoder),
-            None => record_body_matches(
+            Some(blob) => record_holds(blob.as_bytes(), encoder),
+            None => record_holds(
                 &read_at(file, candidate.offset, candidate.total_len)?,
                 encoder,
             ),
@@ -653,11 +779,10 @@ fn find_encoder(
     Ok(None)
 }
 
-/// Whether an encoder record's meta and heap are byte-for-byte `parts`.
-fn record_body_matches(record: &[u8], parts: &RecordParts) -> bool {
-    record_layout(record, record.len() as u64).is_ok_and(|layout| {
-        record[layout.meta] == parts.structure[..] && record[layout.heap] == parts.heap[..]
-    })
+/// Whether an encoder record's meta and heap are byte for byte `encoder`.
+fn record_holds(record: &[u8], encoder: &EncoderBody<'_>) -> bool {
+    record_layout(record, record.len() as u64)
+        .is_ok_and(|layout| encoder.matches(&record[layout.meta], &record[layout.heap]))
 }
 
 /// Reads `len` bytes at `offset`.
@@ -825,47 +950,34 @@ fn parse_model_meta(meta: &[u8]) -> Result<ModelMeta> {
     })
 }
 
-/// Writes the footer (index + trailer) at `record_end`, fsyncs, and
-/// trims any stale bytes past the new end of file.
-fn write_footer(
-    file: &mut File,
-    entries: &[StoreEntry],
-    encoders: &[EncoderEntry],
-    record_end: u64,
-) -> Result<()> {
-    let mut index = Vec::new();
-    push_u64(&mut index, entries.len() as u64);
-    for e in entries {
-        push_u64(&mut index, e.model_id.len() as u64);
-        index.extend_from_slice(e.model_id.as_bytes());
-        push_u64(&mut index, e.version);
-        push_u64(&mut index, e.offset);
-        push_u64(&mut index, e.total_len);
-    }
-    push_u64(&mut index, encoders.len() as u64);
-    for e in encoders {
-        push_u64(&mut index, e.offset);
-        push_u64(&mut index, e.total_len);
-        push_u64(&mut index, e.fingerprint);
-    }
-    let mut trailer = Vec::with_capacity(TRAILER_LEN as usize);
-    push_u64(&mut trailer, record_end);
-    push_u64(&mut trailer, index.len() as u64);
-    push_u64(&mut trailer, fnv1a64(&index));
-    push_u64(&mut trailer, entries.len() as u64);
-    push_u64(&mut trailer, FOOTER_MAGIC);
-    file.seek(SeekFrom::Start(record_end))
-        .map_err(|e| io_err("seek", e))?;
-    file.write_all(&index).map_err(|e| io_err("write", e))?;
-    file.write_all(&trailer).map_err(|e| io_err("write", e))?;
-    file.set_len(record_end + index.len() as u64 + TRAILER_LEN)
-        .map_err(|e| io_err("truncate", e))?;
-    file.sync_all().map_err(|e| io_err("fsync", e))?;
-    Ok(())
+/// Writes the footer — the cached index, then the trailer — at
+/// `record_end`, trimming the file when it was longer. Nothing here is
+/// `fsync`ed: see the durability invariant in the module docs.
+fn write_footer(file: &mut File, st: &mut StoreState) -> Result<()> {
+    let end = st.record_end + st.index.len() as u64 + TRAILER_LEN;
+    let written = file
+        .seek(SeekFrom::Start(st.record_end))
+        .and_then(|_| file.write_all(&st.index))
+        .and_then(|()| file.write_all(&st.trailer()))
+        .and_then(|()| {
+            if st.file_len > end {
+                file.set_len(end)
+            } else {
+                Ok(())
+            }
+        });
+    // A failed write may have extended the file, never past `end`.
+    st.file_len = if written.is_ok() {
+        end
+    } else {
+        st.file_len.max(end)
+    };
+    written.map_err(|e| io_err("footer write", e))
 }
 
-/// Reads and validates the footer. Errors if the trailer is missing,
-/// torn, or inconsistent — the caller then falls back to a record scan.
+/// Reads and validates the footer, building the store state (index cache
+/// included) from it. Errors if the trailer is missing, torn, or
+/// inconsistent — the caller then falls back to a record scan.
 fn read_footer(file: &mut File, file_len: u64) -> Result<StoreState> {
     if file_len < HEADER_LEN + TRAILER_LEN {
         return Err(store_err("fleet store too small to hold a footer"));
@@ -874,13 +986,13 @@ fn read_footer(file: &mut File, file_len: u64) -> Result<StoreState> {
     let index_off = read_u64(&trailer, 0, "trailer index offset")?;
     let index_len = read_u64(&trailer, 8, "trailer index length")?;
     let index_checksum = read_u64(&trailer, 16, "trailer index checksum")?;
-    let entry_count = read_u64(&trailer, 24, "trailer entry count")?;
-    let magic = read_u64(&trailer, 32, "trailer magic")?;
+    let model_count = read_u64(&trailer, 24, "trailer model count")?;
+    let encoder_count = read_u64(&trailer, 32, "trailer encoder count")?;
+    let magic = read_u64(&trailer, 40, "trailer magic")?;
     if magic != FOOTER_MAGIC {
         return Err(store_err("footer magic missing"));
     }
     if index_off < HEADER_LEN
-        || index_off % 8 != 0
         || index_off
             .checked_add(index_len)
             .and_then(|n| n.checked_add(TRAILER_LEN))
@@ -892,78 +1004,83 @@ fn read_footer(file: &mut File, file_len: u64) -> Result<StoreState> {
     if fnv1a64(&index) != index_checksum {
         return Err(store_err("footer index checksum mismatch"));
     }
-    let in_bounds = |offset: u64, total_len: u64| {
-        offset >= HEADER_LEN
-            && offset.is_multiple_of(8)
-            && offset
-                .checked_add(total_len)
-                .is_some_and(|end| end <= index_off)
-    };
-    let count = read_u64(&index, 0, "index entry count")?;
-    if count != entry_count {
-        return Err(store_err("footer entry counts disagree"));
-    }
-    let mut entries = Vec::with_capacity(count.min(1 << 20) as usize);
-    let mut pos = 8usize;
-    for _ in 0..count {
-        let id_len = read_u64(&index, pos, "index id length")? as usize;
+    let mut st = StoreState::new(file_len);
+    let mut pos = 0usize;
+    while pos < index.len() {
+        let tag = read_u64(&index, pos, "index entry tag")?;
         pos += 8;
-        let id_end = pos
-            .checked_add(id_len)
-            .filter(|&e| e <= index.len().saturating_sub(24))
-            .ok_or_else(|| store_err("footer index truncated"))?;
-        let model_id = std::str::from_utf8(&index[pos..id_end])
-            .map_err(|_| store_err("footer index model_id is not valid UTF-8"))?
-            .to_string();
-        pos = id_end;
-        let version = read_u64(&index, pos, "index version")?;
-        let offset = read_u64(&index, pos + 8, "index offset")?;
-        let total_len = read_u64(&index, pos + 16, "index total_len")?;
-        pos += 24;
-        if !in_bounds(offset, total_len) {
-            return Err(store_err("footer index entry out of bounds"));
+        // Every entry names the record that starts where the last ended.
+        if tag == KIND_MODEL as u64 {
+            let id_len = read_u64(&index, pos, "index id length")? as usize;
+            pos += 8;
+            let id_end = pos
+                .checked_add(id_len)
+                .filter(|&e| e <= index.len().saturating_sub(24))
+                .ok_or_else(|| store_err("footer index truncated"))?;
+            let model_id = std::str::from_utf8(&index[pos..id_end])
+                .map_err(|_| store_err("footer index model_id is not valid UTF-8"))?
+                .to_string();
+            pos = id_end;
+            let version = read_u64(&index, pos, "index version")?;
+            let offset = read_u64(&index, pos + 8, "index offset")?;
+            let total_len = read_u64(&index, pos + 16, "index total_len")?;
+            pos += 24;
+            check_placement(&st, offset, total_len, index_off)?;
+            st.push_model(StoreEntry {
+                model_id,
+                version,
+                offset,
+                total_len,
+            });
+        } else if tag == KIND_ENCODER as u64 {
+            let offset = read_u64(&index, pos, "index encoder offset")?;
+            let total_len = read_u64(&index, pos + 8, "index encoder total_len")?;
+            let fingerprint = read_u64(&index, pos + 16, "index encoder fingerprint")?;
+            pos += 24;
+            check_placement(&st, offset, total_len, index_off)?;
+            st.push_encoder(EncoderEntry {
+                offset,
+                total_len,
+                fingerprint,
+                blob: Weak::new(),
+            });
+        } else {
+            return Err(store_err(format!("unknown footer index tag {tag}")));
         }
-        entries.push(StoreEntry {
-            model_id,
-            version,
-            offset,
-            total_len,
-        });
     }
-    let encoder_count = read_u64(&index, pos, "index encoder count")?;
-    pos += 8;
-    let mut encoders: Vec<EncoderEntry> = Vec::with_capacity(encoder_count.min(1 << 20) as usize);
-    for _ in 0..encoder_count {
-        let offset = read_u64(&index, pos, "index encoder offset")?;
-        let total_len = read_u64(&index, pos + 8, "index encoder total_len")?;
-        let fingerprint = read_u64(&index, pos + 16, "index encoder fingerprint")?;
-        pos += 24;
-        if !in_bounds(offset, total_len) || encoders.last().is_some_and(|e| e.offset >= offset) {
-            return Err(store_err(
-                "footer encoder entry out of bounds or out of order",
-            ));
-        }
-        encoders.push(EncoderEntry {
-            offset,
-            total_len,
-            fingerprint,
-            blob: Weak::new(),
-        });
+    if st.record_end != index_off {
+        return Err(store_err("footer index does not reach the footer"));
     }
-    if pos != index.len() {
-        return Err(store_err("footer index has trailing bytes"));
+    if st.entries.len() as u64 != model_count || st.encoders.len() as u64 != encoder_count {
+        return Err(store_err("footer record counts disagree with its index"));
     }
-    Ok(StoreState::new(entries, encoders, index_off))
+    debug_assert_eq!(st.index_hash, index_checksum, "rebuilt index differs");
+    Ok(st)
+}
+
+/// Checks that an index entry names a record that starts where the
+/// previous one ended, is 8-aligned and record-sized, and ends before
+/// the footer.
+fn check_placement(st: &StoreState, offset: u64, total_len: u64, index_off: u64) -> Result<()> {
+    let fits = offset == st.record_end
+        && (RECORD_HEADER_LEN..=MAX_RECORD_LEN).contains(&total_len)
+        && total_len.is_multiple_of(8)
+        && offset + total_len <= index_off;
+    if fits {
+        Ok(())
+    } else {
+        Err(store_err("footer index entry out of place"))
+    }
 }
 
 /// Torn-footer recovery: walk the self-delimiting records from the top
-/// of the file and keep the longest checksum-valid prefix. The prefix
-/// also ends at a model record that references an encoder record not
-/// already in it, so recovery never lists a model it cannot load.
+/// of the file and keep the longest checksum-valid prefix, building the
+/// same index a footer over it holds. The prefix also ends at a model
+/// record that references an encoder record not already in it, so
+/// recovery never lists a model it cannot load.
 fn recover_by_scan(file: &mut File, file_len: u64) -> Result<StoreState> {
     let bytes = read_at(file, HEADER_LEN, file_len - HEADER_LEN)?;
-    let mut entries = Vec::new();
-    let mut encoders: Vec<EncoderEntry> = Vec::new();
+    let mut st = StoreState::new(file_len);
     let mut pos = 0usize;
     while bytes.len() - pos >= RECORD_HEADER_LEN as usize {
         let Ok(total_len) = read_u64(&bytes, pos + 8, "record total_len") else {
@@ -980,10 +1097,10 @@ fn recover_by_scan(file: &mut File, file_len: u64) -> Result<StoreState> {
         };
         let offset = HEADER_LEN + pos as u64;
         if layout.kind == KIND_ENCODER {
-            encoders.push(EncoderEntry {
+            st.push_encoder(EncoderEntry {
                 offset,
                 total_len,
-                fingerprint: encoder_fingerprint(&record[layout.meta], &record[layout.heap]),
+                fingerprint: record_fingerprint(&record[layout.meta], &record[layout.heap]),
                 blob: Weak::new(),
             });
         } else {
@@ -993,11 +1110,11 @@ fn recover_by_scan(file: &mut File, file_len: u64) -> Result<StoreState> {
             let resolves = meta
                 .encoder_refs
                 .iter()
-                .all(|at| encoders.binary_search_by_key(at, |e| e.offset).is_ok());
+                .all(|at| st.encoders.binary_search_by_key(at, |e| e.offset).is_ok());
             if !resolves {
                 break;
             }
-            entries.push(StoreEntry {
+            st.push_model(StoreEntry {
                 model_id: meta.model_id,
                 version: meta.version,
                 offset,
@@ -1006,7 +1123,7 @@ fn recover_by_scan(file: &mut File, file_len: u64) -> Result<StoreState> {
         }
         pos += total_len as usize;
     }
-    Ok(StoreState::new(entries, encoders, HEADER_LEN + pos as u64))
+    Ok(st)
 }
 
 /// One resident model: a `(model_id, version)` pair plus its degrade
@@ -1570,6 +1687,7 @@ mod tests {
             let encoders: Vec<SinusoidEncoder> = encoders
                 .iter()
                 .map(|enc| {
+                    let enc = EncoderBody::new(enc).to_parts();
                     let blob = Arc::new(Blob::from_bytes(&enc.heap));
                     encoder_from_parts(&enc.structure, blob, 0, enc.heap.len()).unwrap()
                 })
@@ -1891,7 +2009,7 @@ mod tests {
         let path = dir.join("models.bhfs");
         ModelStore::create(&path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        for old in [1u8, 2] {
+        for old in [1u8, 2, 3] {
             bytes[4] = old;
             std::fs::write(&path, &bytes).unwrap();
             let err = ModelStore::open(&path).err().unwrap().to_string();
@@ -1899,6 +2017,234 @@ mod tests {
                 err.contains(&format!("version {old}")) && err.contains("rebuild"),
                 "unexpected error: {err}"
             );
+        }
+    }
+
+    /// The images a power cut can leave once the N-th publish's records
+    /// are committed but its footer has not fully reached the disk: the
+    /// footer missing (file cut at the record end); the previous trailer
+    /// still at the end of the file, behind a last record shorter than the
+    /// footer it overwrote; and the new footer written up to every prefix
+    /// length over the previous footer's tail. Each reopens to exactly
+    /// publishes 1..N, loads every listed entry, and stays appendable.
+    #[test]
+    fn power_cut_images_keep_every_committed_publish() {
+        const N: usize = 4;
+        let dir = tempdir("fleet-power-cut");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        let model = fit(16, &x, &y);
+        // Long ids grow the footer past the size of one model record.
+        let id = |i: usize| format!("{}{i}", "m".repeat(500));
+        let store = ModelStore::create(&path).unwrap();
+        for i in 0..N - 1 {
+            store.append(&id(i), 1, &[&model]).unwrap();
+        }
+        let old = std::fs::read(&path).unwrap();
+        store.append(&id(N - 1), 1, &[&model]).unwrap();
+        let new = std::fs::read(&path).unwrap();
+        let published = store.entries();
+        assert_eq!(published.len(), N);
+        let record_end = record_end(&store) as usize;
+        assert!(
+            old.len() > record_end,
+            "the last record outgrew the previous footer"
+        );
+        // The new file up to `len`, over what the file held before.
+        let image = |len: usize| {
+            let mut bytes = new[..len].to_vec();
+            if old.len() > len {
+                bytes.extend_from_slice(&old[len..]);
+            }
+            bytes
+        };
+        let mut images = vec![
+            ("footer missing", new[..record_end].to_vec()),
+            ("previous trailer at the end", image(record_end)),
+        ];
+        for len in record_end..=new.len() {
+            images.push(("new footer prefix", image(len)));
+        }
+        // The trim of a tail left by an earlier torn append never reached
+        // the disk.
+        let mut stale = new.clone();
+        stale.resize(new.len() + 4096, 0xA5);
+        images.push(("stale tail past the new footer", stale));
+        let again = fit(24, &x, &y);
+        for (what, bytes) in images {
+            let context = format!("{what}, {} bytes", bytes.len());
+            std::fs::write(&path, &bytes).unwrap();
+            let reopened = ModelStore::open(&path).unwrap();
+            assert_eq!(reopened.entries(), published, "{context}");
+            for entry in &published {
+                reopened.load_record(entry).unwrap();
+            }
+            reopened.append("again", 1, &[&again]).unwrap();
+            // The append left a whole footer at the end of the file.
+            let len = std::fs::metadata(&path).unwrap().len();
+            let footer = read_footer(&mut File::open(&path).unwrap(), len);
+            assert!(footer.is_ok(), "{context}: footer not rewritten");
+            let after = ModelStore::open(&path).unwrap().entries();
+            assert_eq!(after[..N], published[..], "{context}");
+            assert_eq!(after.len(), N + 1, "{context}");
+        }
+    }
+
+    /// Everything a store state lists: model entries, encoder records
+    /// with their fingerprints, the index cache, its hash, and the record
+    /// end.
+    type Listing = (Vec<StoreEntry>, Vec<(u64, u64, u64)>, Vec<u8>, u64, u64);
+
+    fn listing(st: &StoreState) -> Listing {
+        let encoders = st
+            .encoders
+            .iter()
+            .map(|e| (e.offset, e.total_len, e.fingerprint))
+            .collect();
+        (
+            st.entries.clone(),
+            encoders,
+            st.index.clone(),
+            st.index_hash,
+            st.record_end,
+        )
+    }
+
+    /// A run of appends mixing new encoders, shared encoders, 3-tier
+    /// ladders and one rolled-back append leaves the index a live store
+    /// built incrementally equal to the one the footer holds and the one a
+    /// scan rebuilds, and stores reopened either way dedupe exactly as the
+    /// live one does.
+    #[test]
+    fn incremental_index_equals_a_full_rebuild() {
+        let dir = tempdir("fleet-incremental-index");
+        let path = dir.join("models.bhfs");
+        let (x, y) = toy();
+        // `ladder` fits at dim 64; these three each bring their own encoder.
+        let (a, b, c) = (fit(48, &x, &y), fit(56, &x, &y), fit(80, &x, &y));
+        let tiers = ladder(&x, &y);
+        let store = ModelStore::create(&path).unwrap();
+        store.append("a", 1, &[&a]).unwrap();
+        store.append("a-copy", 1, &[&a]).unwrap();
+        store
+            .append("ladder", 1, &tiers.iter().collect::<Vec<_>>())
+            .unwrap();
+
+        // A two-tier append fails after its first tier listed a new
+        // encoder: the second shares a's encoder, whose record the
+        // externally truncated file no longer holds.
+        let intact = std::fs::read(&path).unwrap();
+        let before = listing(&store.state.lock().unwrap());
+        let a_encoder = store.state.lock().unwrap().encoders[0].offset;
+        std::fs::write(&path, &intact[..a_encoder as usize + 16]).unwrap();
+        let err = store.append("failed", 1, &[&b, &a]).unwrap_err();
+        assert!(err.to_string().contains("read"), "unexpected error: {err}");
+        assert_eq!(
+            listing(&store.state.lock().unwrap()),
+            before,
+            "the failed append left a trace"
+        );
+        assert!(store.versions("failed").is_empty());
+        std::fs::write(&path, &intact).unwrap();
+
+        store.append("b", 1, &[&b]).unwrap();
+        store.append("ladder", 2, &[&a, &b, &tiers[2]]).unwrap();
+        let live = listing(&store.state.lock().unwrap());
+        let bytes = std::fs::read(&path).unwrap();
+        let mut file = File::open(&path).unwrap();
+        let footer = read_footer(&mut file, bytes.len() as u64).unwrap();
+        let scan = recover_by_scan(&mut file, bytes.len() as u64).unwrap();
+        assert_eq!(listing(&footer), live);
+        assert_eq!(listing(&scan), live);
+
+        let by_footer = dir.join("by-footer.bhfs");
+        let by_scan = dir.join("by-scan.bhfs");
+        std::fs::write(&by_footer, &bytes).unwrap();
+        std::fs::write(&by_scan, &bytes[..bytes.len() - 24]).unwrap();
+        let reopened = [
+            ModelStore::open(&by_footer).unwrap(),
+            ModelStore::open(&by_scan).unwrap(),
+        ];
+        for (store, how) in [(&store, "live")]
+            .into_iter()
+            .chain(reopened.iter().zip(["footer", "scan"]))
+        {
+            store.append("mixed", 1, &[&tiers[1], &c, &b]).unwrap();
+            assert_eq!(store.entries().len(), live.0.len() + 3, "{how}");
+        }
+        let want = std::fs::read(&path).unwrap();
+        assert_eq!(std::fs::read(&by_footer).unwrap(), want);
+        assert_eq!(std::fs::read(&by_scan).unwrap(), want);
+    }
+
+    /// Two encoders that differ only in a projection word the sampled
+    /// fingerprint skips share a fingerprint, but not a record; an
+    /// identical encoder writes none.
+    #[test]
+    fn encoders_sharing_a_fingerprint_are_told_apart_by_their_bytes() {
+        let dir = tempdir("fleet-fingerprint-guard");
+        let (x, y) = toy();
+        let base = fit(256, &x, &y);
+        let online = base.downcast_ref::<OnlineHd>().unwrap();
+        let body = EncoderBody::new(online.encoder());
+        let words = body.heap_len() / 8;
+        let sampled: Vec<usize> = (0..FINGERPRINT_SAMPLES)
+            .map(|i| i * words / FINGERPRINT_SAMPLES)
+            .collect();
+        let mut projection_t = online.encoder().projection_t().unwrap().clone();
+        let skipped = (0..projection_t.as_slice().len() / 2)
+            .find(|w| !sampled.contains(w))
+            .unwrap();
+        projection_t.as_mut_slice()[2 * skipped] += 1.0;
+        let encoder =
+            SinusoidEncoder::from_parts_transposed(projection_t, online.encoder().bias().to_vec())
+                .unwrap();
+        let twin_body = EncoderBody::new(&encoder);
+        assert_eq!(body_fingerprint(&twin_body), body_fingerprint(&body));
+        let twin_parts = twin_body.to_parts();
+        assert!(!body.matches(&twin_parts.structure, &twin_parts.heap));
+        let twin = Pipeline::from_model(
+            base.spec().clone(),
+            Box::new(
+                OnlineHd::from_parts(
+                    encoder,
+                    online.class_memory().clone(),
+                    Classifier::num_classes(online),
+                    *online.config(),
+                )
+                .unwrap(),
+            ),
+        );
+        assert_ne!(
+            twin.predict_batch_with_confidence(&x),
+            base.predict_batch_with_confidence(&x),
+            "the twin must be told apart by what it predicts"
+        );
+
+        // Across appends (stored candidate) and within one (this
+        // append's own records).
+        let across = ModelStore::create(dir.join("across.bhfs")).unwrap();
+        across.append("base", 1, &[&base]).unwrap();
+        across.append("twin", 1, &[&twin]).unwrap();
+        let within = ModelStore::create(dir.join("within.bhfs")).unwrap();
+        within.append("pair", 1, &[&base, &twin]).unwrap();
+        for store in [&across, &within] {
+            assert_eq!(store.state.lock().unwrap().encoders.len(), 2);
+            let before = record_end(store);
+            store.append("twin-copy", 1, &[&twin]).unwrap();
+            let copy = store.entries().last().unwrap().total_len;
+            assert_eq!(record_end(store) - before, copy, "a copy wrote an encoder");
+            let reopened = ModelStore::open(store.path()).unwrap();
+            let entries = reopened.entries();
+            for (entry, fitted) in entries.iter().zip([&base, &twin, &twin]) {
+                assert_eq!(
+                    reopened
+                        .load_record(entry)
+                        .unwrap()
+                        .predict_batch_with_confidence(&x),
+                    fitted.predict_batch_with_confidence(&x)
+                );
+            }
         }
     }
 

@@ -48,9 +48,10 @@
 //! encoder  := ref:u64(=u64::MAX-1) index:u64   (heap mode only)
 //! ```
 //!
-//! and the writer hands the encoder itself out separately
-//! ([`Writer::into_parts`]), so the store can keep one encoder record
-//! that every model and ladder tier built on that encoder shares.
+//! and the writer hands the live encoder itself out separately, not
+//! serialized ([`Writer::into_parts`]), so the store can match it against
+//! its encoder records and keep one record that every model and ladder
+//! tier built on that encoder shares.
 //!
 //! # Example
 //!
@@ -127,8 +128,8 @@ pub struct Writer {
     buf: Vec<u8>,
     heap: Option<Vec<u8>>,
     /// Heap mode: the stored encoders the stream references, in index
-    /// order, each serialized as an encoder-record body.
-    encoders: Vec<RecordParts>,
+    /// order, as copy-on-write clones of the live encoders.
+    encoders: Vec<SinusoidEncoder>,
 }
 
 /// One heap-mode body: a structure stream plus the payload heap its
@@ -167,13 +168,13 @@ impl Writer {
     }
 
     /// Finishes a heap-mode writer, returning the body plus the stored
-    /// encoders its encoder references index, each serialized as the
-    /// transposed projection and phase vector. Each heap must land at
-    /// an 8-byte-aligned offset of whatever record it is embedded in, so
-    /// the recorded array offsets stay aligned for zero-copy
-    /// reinterpretation; heaps are padded to a multiple of 8 so records
-    /// that embed them stay 8-aligned end to end.
-    pub fn into_parts(mut self) -> (RecordParts, Vec<RecordParts>) {
+    /// encoders its encoder references index, which the fleet store
+    /// writes as encoder records of their own. The heap must land at an
+    /// 8-byte-aligned offset of whatever record it is embedded in, so the
+    /// recorded array offsets stay aligned for zero-copy
+    /// reinterpretation; it is padded to a multiple of 8 so records that
+    /// embed it stay 8-aligned end to end.
+    pub fn into_parts(mut self) -> (RecordParts, Vec<SinusoidEncoder>) {
         if self.heap.is_some() {
             self.align_heap();
         }
@@ -688,7 +689,7 @@ fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
             // writes each distinct encoder once and models reference it.
             w.put_u64(ENCODER_REF_SENTINEL);
             w.put_u64(w.encoders.len() as u64);
-            w.encoders.push(encoder_parts(enc));
+            w.encoders.push(enc.clone());
         }
         None => {
             w.put_matrix(&enc.projection_matrix());
@@ -697,18 +698,117 @@ fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
     }
 }
 
-/// Serializes a stored encoder as an encoder-record body: the F×D
-/// transpose the encoder holds in memory, then its phase vector, both in
-/// the heap, so a shared read borrows the projection with no transpose
-/// pass and no allocation.
-fn encoder_parts(enc: &SinusoidEncoder) -> RecordParts {
-    let mut w = Writer::new_with_heap();
-    w.put_matrix(enc.projection_t().expect("stored encoder has projection"));
-    w.put_f32_slice(enc.bias());
-    w.into_parts().0
+/// A stored encoder's encoder-record body read straight off the live
+/// encoder: the structure stream, then a payload heap holding the `F × D`
+/// transpose the encoder keeps in memory and its phase vector, so a shared
+/// read borrows the projection with no transpose pass and no allocation.
+/// The fleet store fingerprints and byte-compares a body against stored
+/// records without serializing it, and serializes it
+/// ([`EncoderBody::to_parts`]) only to write a new record.
+#[derive(Debug)]
+pub(crate) struct EncoderBody<'a> {
+    structure: Vec<u8>,
+    /// Heap segments at their 8-aligned heap byte offsets, stored as
+    /// little-endian `f32`s: projection, then phases. Every other heap
+    /// byte is zero padding.
+    segments: [(usize, &'a [f32]); 2],
+    heap_len: usize,
 }
 
-/// Decodes an encoder-record body written by [`Writer::into_parts`]. The
+impl<'a> EncoderBody<'a> {
+    /// The body of `enc`, which must hold a stored projection.
+    pub(crate) fn new(enc: &'a SinusoidEncoder) -> Self {
+        let projection_t = enc.projection_t().expect("stored encoder has projection");
+        let (projection, bias) = (projection_t.as_slice(), enc.bias());
+        let bias_at = (4 * projection.len()).next_multiple_of(8);
+        let heap_len = (bias_at + 4 * bias.len()).next_multiple_of(8);
+        // The stream a heap-mode `put_matrix` + `put_f32_slice` writes:
+        // shape and heap offset, then length and heap offset.
+        let mut structure = Vec::with_capacity(40);
+        for v in [
+            projection_t.rows(),
+            projection_t.cols(),
+            0,
+            bias.len(),
+            bias_at,
+        ] {
+            structure.extend_from_slice(&(v as u64).to_le_bytes());
+        }
+        Self {
+            structure,
+            segments: [(0, projection), (bias_at, bias)],
+            heap_len,
+        }
+    }
+
+    /// The structure stream: shapes and heap offsets.
+    pub(crate) fn structure(&self) -> &[u8] {
+        &self.structure
+    }
+
+    /// Payload heap length in bytes (a multiple of 8).
+    pub(crate) fn heap_len(&self) -> usize {
+        self.heap_len
+    }
+
+    /// The 8 heap bytes of word `w`.
+    pub(crate) fn heap_word(&self, w: usize) -> [u8; 8] {
+        let mut word = [0u8; 8];
+        for (at, values) in &self.segments {
+            // Segments start 8-aligned, so each half of a word is one
+            // value of a segment or padding.
+            for half in 0..2 {
+                let byte = 8 * w + 4 * half;
+                if let Some(v) = byte.checked_sub(*at).and_then(|rel| values.get(rel / 4)) {
+                    word[4 * half..4 * half + 4].copy_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+        word
+    }
+
+    /// Whether a record body's `structure` and `heap` are byte for byte
+    /// this body's.
+    pub(crate) fn matches(&self, structure: &[u8], heap: &[u8]) -> bool {
+        if structure != self.structure || heap.len() != self.heap_len {
+            return false;
+        }
+        let mut end = 0;
+        for (at, values) in &self.segments {
+            let stored = &heap[*at..at + 4 * values.len()];
+            // No early exit, so the comparison vectorizes.
+            let same = stored
+                .chunks_exact(4)
+                .zip(*values)
+                .fold(true, |same, (b, v)| {
+                    same & (u32::from_le_bytes([b[0], b[1], b[2], b[3]]) == v.to_bits())
+                });
+            if !same || heap[end..*at].iter().any(|&b| b != 0) {
+                return false;
+            }
+            end = at + stored.len();
+        }
+        heap[end..].iter().all(|&b| b == 0)
+    }
+
+    /// Serializes the body, as a new encoder record stores it.
+    pub(crate) fn to_parts(&self) -> RecordParts {
+        let mut heap = Vec::with_capacity(self.heap_len);
+        for (at, values) in &self.segments {
+            heap.resize(*at, 0);
+            for v in values.iter() {
+                heap.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        heap.resize(self.heap_len, 0);
+        RecordParts {
+            structure: self.structure.clone(),
+            heap,
+        }
+    }
+}
+
+/// Decodes an encoder-record body ([`EncoderBody::to_parts`]). The
 /// projection is a zero-copy view into `blob`, so every encoder decoded
 /// from one blob shares one projection allocation.
 ///
@@ -1567,16 +1667,50 @@ mod tests {
         assert!(err.contains("encoder reference 0"), "{err}");
     }
 
-    /// Decodes each encoder body zero-copy out of its own blob, as the
-    /// fleet store does with encoder records.
-    fn shared_encoders(parts: &[RecordParts]) -> Vec<SinusoidEncoder> {
-        parts
+    /// Decodes each encoder's record body zero-copy out of its own blob,
+    /// as the fleet store does with encoder records.
+    fn shared_encoders(encoders: &[SinusoidEncoder]) -> Vec<SinusoidEncoder> {
+        encoders
             .iter()
-            .map(|p| {
+            .map(|enc| {
+                let p = EncoderBody::new(enc).to_parts();
                 let blob = Arc::new(Blob::from_bytes(&p.heap));
                 encoder_from_parts(&p.structure, blob, 0, p.heap.len()).unwrap()
             })
             .collect()
+    }
+
+    /// An encoder body read off the live encoder is byte for byte what a
+    /// heap-mode writer serializes for its projection and phases, word by
+    /// word and as a whole, for projections with and without heap padding.
+    #[test]
+    fn encoder_body_matches_the_heap_mode_stream() {
+        let mut rng = Rng64::seed_from(5);
+        for (dim, features) in [(64, 2), (7, 3), (33, 5)] {
+            let enc = SinusoidEncoder::new(dim, features, &mut rng);
+            let mut w = Writer::new_with_heap();
+            w.put_matrix(enc.projection_t().unwrap());
+            w.put_f32_slice(enc.bias());
+            let (want, _) = w.into_parts();
+            let body = EncoderBody::new(&enc);
+            assert_eq!(body.to_parts(), want, "dim {dim}");
+            assert_eq!(body.structure(), &want.structure[..]);
+            assert_eq!(body.heap_len(), want.heap.len());
+            for (i, word) in want.heap.chunks_exact(8).enumerate() {
+                assert_eq!(&body.heap_word(i)[..], word, "dim {dim} word {i}");
+            }
+            assert!(body.matches(&want.structure, &want.heap));
+            for at in [0, want.heap.len() / 2, want.heap.len() - 1] {
+                let mut other = want.heap.clone();
+                other[at] ^= 1;
+                assert!(
+                    !body.matches(&want.structure, &other),
+                    "dim {dim} byte {at}"
+                );
+            }
+            assert!(!body.matches(&want.structure, &want.heap[..want.heap.len() - 8]));
+            assert!(!body.matches(&want.structure[8..], &want.heap));
+        }
     }
 
     #[test]

@@ -688,7 +688,9 @@ impl Pipeline {
     }
 
     /// Serializes the pipeline for a fleet-store model record, returning
-    /// the record body and the stored encoders it references. The body's
+    /// the record body and the stored encoders it references, as
+    /// copy-on-write clones of the live encoders rather than serialized.
+    /// The body's
     /// structure stream holds the payload kind, abstention threshold, spec
     /// TOML, and the model's scalar skeleton, while every bulk class-memory
     /// array (class matrices, packed words, int8 grids) lands in the
@@ -702,7 +704,7 @@ impl Pipeline {
     ///
     /// Returns [`BoostHdError::InvalidConfig`] for families without a
     /// binary codec (the classical baselines).
-    pub(crate) fn encode_store_parts(&self) -> Result<(RecordParts, Vec<RecordParts>)> {
+    pub(crate) fn encode_store_parts(&self) -> Result<(RecordParts, Vec<SinusoidEncoder>)> {
         let kind = self.model.payload_kind();
         if kind == PayloadKind::Unsupported {
             return Err(BoostHdError::InvalidConfig {
