@@ -32,12 +32,6 @@ use boosthd::pipeline::{register_baseline_builder, Model, PayloadKind};
 use boosthd::{BaselineKind, BaselineSpec, BoostHdError};
 use linalg::Matrix;
 
-fn unsupported_persistence(name: &str) -> BoostHdError {
-    BoostHdError::InvalidConfig {
-        reason: format!("baseline `{name}` has no binary codec; only the HDC models persist"),
-    }
-}
-
 macro_rules! impl_baseline_model {
     // Families with exposed f32 parameter buffers take IEEE-754 word
     // flips; the tree-based families report a clear error instead.
@@ -73,9 +67,6 @@ macro_rules! impl_baseline_model {
                 Box::new(self.clone())
             }
             impl_baseline_model!(@inject $storage $name);
-            fn to_payload(&self) -> boosthd::Result<Vec<u8>> {
-                Err(unsupported_persistence($name))
-            }
             fn as_any(&self) -> &dyn std::any::Any {
                 self
             }

@@ -689,6 +689,14 @@ impl BoostHd {
                         reason: "learner precision disagrees with the ensemble".into(),
                     });
                 }
+                if own_encoder
+                    .as_ref()
+                    .is_some_and(|e| e.input_len() != encoder.input_len())
+                {
+                    return Err(BoostHdError::DataMismatch {
+                        reason: "private learner encoder reads another feature width".into(),
+                    });
+                }
                 let width = own_encoder
                     .as_ref()
                     .map_or(seg_end - seg_start, |e| e.dim());

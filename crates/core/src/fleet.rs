@@ -1765,6 +1765,86 @@ mod tests {
         );
     }
 
+    /// One envelope part at `at`: its structure stream, its heap, and the
+    /// offset of the next part.
+    fn envelope_part(bytes: &[u8], at: usize) -> (&[u8], &[u8], usize) {
+        let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap()) as usize;
+        let (structure_len, heap_len) = (word(at), word(at + 8));
+        let heap_at = (at + 16 + structure_len).next_multiple_of(8);
+        (
+            &bytes[at + 16..at + 16 + structure_len],
+            &bytes[heap_at..heap_at + heap_len],
+            heap_at + heap_len,
+        )
+    }
+
+    /// The `.bhde` envelope and the store persist one encoding: the
+    /// envelope's model part is the store's record body byte for byte and
+    /// its encoder parts are the store's encoder bodies. A pipeline loaded
+    /// from an envelope and published next to its fitted original finds
+    /// the original's encoder records (no second write) and predicts
+    /// bit-identically.
+    #[test]
+    fn envelope_carries_the_store_record_body() {
+        use crate::boost::EnsembleMode;
+        use crate::{BoostHdConfig, CentroidHdConfig};
+        let (x, y) = toy();
+        let mut fitted = ladder(&x, &y);
+        for spec in [
+            ModelSpec::CentroidHd(CentroidHdConfig {
+                dim: 64,
+                ..Default::default()
+            }),
+            ModelSpec::BoostHd(BoostHdConfig {
+                dim_total: 48,
+                n_learners: 3,
+                epochs: 2,
+                mode: EnsembleMode::FullDimension,
+                ..Default::default()
+            }),
+        ] {
+            fitted.push(Pipeline::fit(&spec, &x, &y).unwrap());
+        }
+        let dir = tempdir("fleet-envelope");
+        let store = ModelStore::create(dir.join("models.bhfs")).unwrap();
+        for (i, original) in fitted.iter().enumerate() {
+            let name = original.spec().display_name();
+            let bytes = original.to_bytes().unwrap();
+            let (body, encoders) = original.encode_store_parts().unwrap();
+            let (structure, heap, mut at) = envelope_part(&bytes, 16);
+            assert_eq!(structure, &body.structure[..], "{name}");
+            assert_eq!(heap, &body.heap[..], "{name}");
+            assert_eq!(bytes[at..at + 8], (encoders.len() as u64).to_le_bytes());
+            at += 8;
+            for encoder in &encoders {
+                let want = EncoderBody::new(encoder).to_parts();
+                let (structure, heap, next) = envelope_part(&bytes, at);
+                assert_eq!(structure, &want.structure[..], "{name}");
+                assert_eq!(heap, &want.heap[..], "{name}");
+                at = next;
+            }
+            assert_eq!(at, bytes.len(), "{name}");
+
+            let loaded = Pipeline::from_bytes(&bytes).unwrap();
+            store.append(&format!("fitted{i}"), 1, &[original]).unwrap();
+            let stored = store.state.lock().unwrap().encoders.len();
+            store.append(&format!("loaded{i}"), 1, &[&loaded]).unwrap();
+            assert_eq!(
+                store.state.lock().unwrap().encoders.len(),
+                stored,
+                "{name}: the loaded pipeline wrote a second encoder record"
+            );
+            let served = store.load(&format!("loaded{i}"), 1).unwrap();
+            for other in [&loaded, served.primary().as_ref()] {
+                assert_eq!(
+                    original.predict_batch_with_confidence(&x),
+                    other.predict_batch_with_confidence(&x),
+                    "{name}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn models_sharing_an_encoder_write_it_once() {
         let dir = tempdir("fleet-dedup");

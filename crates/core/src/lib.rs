@@ -33,8 +33,8 @@
 //! [`ModelSpec`], train it with [`Pipeline::fit`], ask for
 //! confidence-gated predictions
 //! ([`Pipeline::predict_with_confidence`]), and persist it through one
-//! versioned envelope ([`Pipeline::save`]/[`Pipeline::load`]) that wraps
-//! the per-model codecs in [`persist`].
+//! versioned envelope ([`Pipeline::save`]/[`Pipeline::load`]) around the
+//! one model encoding in [`persist`], which the fleet store writes too.
 //!
 //! # Quickstart
 //!

@@ -517,7 +517,7 @@ impl I8Rows {
     /// Returns [`BoostHdError::DataMismatch`] when `data` is not
     /// `scales.len() × cols` elements.
     pub(crate) fn from_storage(data: Storage<i8>, scales: Vec<f32>, cols: usize) -> Result<Self> {
-        if cols == 0 || data.len() != scales.len() * cols {
+        if cols == 0 || scales.len().checked_mul(cols) != Some(data.len()) {
             return Err(BoostHdError::DataMismatch {
                 reason: format!(
                     "int8 payload holds {} bytes, expected {} rows x {} cols",

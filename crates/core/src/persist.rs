@@ -1,14 +1,21 @@
-//! Compact binary persistence for trained models.
+//! The one binary encoding of a trained model.
 //!
-//! Wearable deployments flash a trained model onto the device; this module
-//! provides the byte format. The dependency policy for this reproduction
-//! admits `serde` but no serializer crate, so the codec is hand-rolled:
-//! little-endian, length-prefixed, with a magic header and version byte so
-//! stale blobs fail loudly instead of mis-deserializing.
+//! Wearable deployments flash a trained model onto the device, and the
+//! fleet store serves thousands of them; both persist the same **record
+//! body**. The dependency policy for this reproduction admits `serde` but
+//! no serializer crate, so the codec is hand-rolled: little-endian, with a
+//! magic header and version byte so stale bodies fail loudly instead of
+//! mis-deserializing.
+//!
+//! A body is a *structure stream* (scalars, shapes, and offsets) plus an
+//! 8-byte-aligned *payload heap* holding every array. Readers decode the
+//! stream and serve the bulk arrays (class matrices, packed sign words,
+//! int8 grids) zero-copy out of the blob the heap sits in. The model part
+//! of the stream reads:
 //!
 //! ```text
-//! blob      := magic:u32 version:u8(=5) kind:u8 model
-//! model     := online | boost | centroid          (kind 1 | 2 | 3)
+//! model     := magic:u32 version:u8(=5) kind:u8 body
+//! body      := online | boost | centroid          (kind 1 | 2 | 3)
 //! online    := dim:u64 lr:f32 epochs:u64 bootstrap:u8 seed:u64
 //!              refit_epochs:u64 classes:u64 encoder memory
 //! centroid  := classes:u64 encoder memory
@@ -20,54 +27,48 @@
 //! learner   := alpha:f32 seg_start:u64 seg_end:u64 memory
 //!              (0:u8 | 1:u8 encoder)                (private encoder)
 //! memory    := 0:u8 matrix                        (f32 rows)
-//!            | 1:u8 rows:u64 cols:u64 vec<f32> vec<i8>  (int8 rows + scales)
-//!            | 2:u8 packed                        (1-bit sign words)
-//! matrix    := rows:u64 cols:u64 f32[rows·cols]
-//! packed    := rows:u64 dim:u64 vec<u64>
-//! vec<T>    := len:u64 T[len]
-//! encoder   := matrix vec<f32>                    (stored projection + bias)
+//!            | 1:u8 rows:u64 cols:u64 array array  (f32 scales, i8 rows)
+//!            | 2:u8 rows:u64 dim:u64 array        (1-bit u64 sign words)
+//! matrix    := rows:u64 cols:u64 offset:u64       (rows·cols f32 in the heap)
+//! array     := len:u64 offset:u64                 (len elements in the heap)
+//! encoder   := ref:u64(=u64::MAX-1) index:u64     (stored projection)
 //!            | remat:u64(=u64::MAX) dim:u64 input_len:u64 bandwidth:f32
 //!              seed:u64                           (rematerialized recipe)
 //! ```
 //!
-//! A model's precision is the tag in front of each class memory; a
-//! BoostHD ensemble stores every learner at the same precision. Readers
-//! accept exactly version 5: blobs of any other version are rejected with
-//! an error naming both versions, never reinterpreted.
+//! Every heap offset is 8-aligned within the heap, and the heap is padded
+//! to a multiple of 8 bytes. A model's precision is the tag in front of
+//! each class memory; a BoostHD ensemble stores every learner at the same
+//! precision. Readers accept exactly version 5: bodies of any other version
+//! are rejected with an error naming both versions, never reinterpreted.
 //!
-//! The same grammar also serializes in a **heap-mode** split (see
-//! [`Writer::new_with_heap`]): every length-prefixed array body moves to a
-//! separate 8-byte-aligned payload heap and the structure stream records
-//! its heap offset instead. The fleet model store persists records in
-//! that split so the bulk payloads (class matrices, packed sign words,
-//! int8 grids) can be served zero-copy out of a loaded blob; plain `.bhd`
-//! file blobs always use the inline layout above. A heap-mode stream never
-//! holds a stored projection: it writes an encoder *reference*
-//!
-//! ```text
-//! encoder  := ref:u64(=u64::MAX-1) index:u64   (heap mode only)
-//! ```
-//!
-//! and the writer hands the live encoder itself out separately, not
-//! serialized ([`Writer::into_parts`]), so the store can match it against
-//! its encoder records and keep one record that every model and ladder
-//! tier built on that encoder shares.
+//! A stored projection never sits in the model stream. The stream records
+//! an index into the encoders the writer hands out separately, as live
+//! copy-on-write clones ([`Writer::into_parts`]); each is persisted once as
+//! an encoder body of its own (`EncoderBody`: the `F × D` transposed
+//! projection as a `matrix`, then the phases as an `array`). The fleet
+//! store writes it as an encoder record every model and ladder tier built
+//! on that encoder shares, and a `.bhde` envelope
+//! ([`crate::Pipeline::to_bytes`]) frames it after the model body. A
+//! rematerialized encoder persists as its recipe; the reader checks the
+//! recipe's width against the model's and caps `dim × input_len`
+//! ([`MAX_REMAT_PROJECTION`]) before regenerating anything.
 //!
 //! # Example
 //!
 //! ```
-//! use boosthd::{OnlineHd, OnlineHdConfig, Classifier};
+//! use boosthd::{ModelSpec, OnlineHdConfig, Pipeline};
 //! use linalg::{Matrix, Rng64};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = Rng64::seed_from(1);
 //! let x = Matrix::random_normal(40, 3, &mut rng);
 //! let y: Vec<usize> = (0..40).map(|i| i % 2).collect();
-//! let config = OnlineHdConfig { dim: 64, epochs: 2, ..Default::default() };
-//! let model = OnlineHd::fit(&config, &x, &y)?;
+//! let spec = ModelSpec::OnlineHd(OnlineHdConfig { dim: 64, epochs: 2, ..Default::default() });
+//! let model = Pipeline::fit(&spec, &x, &y)?;
 //!
-//! let bytes = model.to_bytes();
-//! let restored = OnlineHd::from_bytes(&bytes)?;
+//! let bytes = model.to_bytes()?;
+//! let restored = Pipeline::from_bytes(&bytes)?;
 //! assert_eq!(model.predict_batch(&x), restored.predict_batch(&x));
 //! # Ok(())
 //! # }
@@ -80,13 +81,13 @@ use crate::error::{BoostHdError, Result};
 use crate::memory::{ClassMemory, I8Rows, Precision};
 use crate::online::{OnlineHd, OnlineHdConfig};
 use hdc::backend::PackedMatrix;
-use hdc::encoder::{RematSpec, SinusoidEncoder};
+use hdc::encoder::{Encode, RematSpec, SinusoidEncoder};
 use linalg::{Blob, Matrix, SharedSlice, Storage};
 use std::sync::Arc;
 
 /// `"BHD1"` little-endian.
 const MAGIC: u32 = 0x3144_4842;
-/// The one blob version this build reads and writes; bump on any layout
+/// The one model version this build reads and writes; bump on any layout
 /// change.
 const VERSION: u8 = 5;
 const KIND_ONLINE: u8 = 1;
@@ -94,14 +95,18 @@ const KIND_BOOST: u8 = 2;
 const KIND_CENTROID: u8 = 3;
 
 /// Row-count sentinel marking a rematerialized-encoder recipe where a
-/// stored projection's `rows:u64` would sit (no real projection has
-/// `u64::MAX` rows).
+/// reference would sit.
 const REMAT_SENTINEL: u64 = u64::MAX;
 
-/// Row-count sentinel marking a reference to a stored encoder kept
-/// outside the stream (the `index`-th encoder of [`Writer::into_parts`]).
-/// Only heap-mode streams (the fleet model store) emit it.
+/// Sentinel marking a reference to a stored encoder kept outside the
+/// stream (the `index`-th encoder of [`Writer::into_parts`]).
 const ENCODER_REF_SENTINEL: u64 = u64::MAX - 1;
+
+/// The largest `dim × input_len` projection a rematerialized-encoder
+/// recipe may regenerate at load: 2^24 Gaussian draws, a D = 10,000
+/// encoder over 1,677 features. Building a recipe burns through every
+/// draw, so a corrupt recipe left unchecked could spin for hours.
+pub const MAX_REMAT_PROJECTION: usize = 1 << 24;
 
 fn persist_err(reason: impl Into<String>) -> BoostHdError {
     BoostHdError::DataMismatch {
@@ -109,31 +114,22 @@ fn persist_err(reason: impl Into<String>) -> BoostHdError {
     }
 }
 
-/// Little-endian byte sink.
-///
-/// Two modes share every `put_*` call:
-///
-/// * **inline** ([`Writer::new`]) — array bodies are written in place,
-///   producing the classic single-stream BHD1 layout;
-/// * **heap** ([`Writer::new_with_heap`]) — every length-prefixed array
-///   body is appended to a separate 8-byte-aligned *payload heap* and the
-///   structure stream records its heap byte offset (`u64`) where the body
-///   would sit. The fleet model store uses this split: the structure
-///   stream is decoded normally while the bulk payloads are served
-///   zero-copy straight out of the loaded blob. Stored encoders are not
-///   written into the stream at all; it records an index into the
-///   encoder list [`Writer::into_parts`] returns.
+/// Little-endian sink for one record body: scalars go to the structure
+/// stream, every length-prefixed array body to the 8-byte-aligned payload
+/// heap, with its heap byte offset recorded in the stream where the body
+/// would sit. Stored encoders are not written at all: the stream records
+/// an index into the encoder list [`Writer::into_parts`] returns.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
-    heap: Option<Vec<u8>>,
-    /// Heap mode: the stored encoders the stream references, in index
-    /// order, as copy-on-write clones of the live encoders.
+    heap: Vec<u8>,
+    /// The stored encoders the stream references, in index order, as
+    /// copy-on-write clones of the live encoders.
     encoders: Vec<SinusoidEncoder>,
 }
 
-/// One heap-mode body: a structure stream plus the payload heap its
-/// array offsets point into.
+/// One record body: a structure stream plus the payload heap its array
+/// offsets point into.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordParts {
     /// Scalars, shapes, and heap offsets.
@@ -143,55 +139,40 @@ pub struct RecordParts {
 }
 
 impl Writer {
-    /// Creates an empty inline-mode writer.
+    /// Creates an empty writer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an empty heap-mode writer (see the type docs).
-    pub fn new_with_heap() -> Self {
-        Self {
-            heap: Some(Vec::new()),
-            ..Self::default()
-        }
-    }
-
-    /// Whether this writer routes array bodies to a payload heap.
-    pub fn has_heap(&self) -> bool {
-        self.heap.is_some()
-    }
-
-    /// Finishes, returning the encoded bytes (inline mode).
-    pub fn into_bytes(self) -> Vec<u8> {
-        debug_assert!(self.heap.is_none(), "heap-mode writer needs into_parts");
-        self.buf
-    }
-
-    /// Finishes a heap-mode writer, returning the body plus the stored
-    /// encoders its encoder references index, which the fleet store
-    /// writes as encoder records of their own. The heap must land at an
-    /// 8-byte-aligned offset of whatever record it is embedded in, so the
-    /// recorded array offsets stay aligned for zero-copy
-    /// reinterpretation; it is padded to a multiple of 8 so records that
-    /// embed it stay 8-aligned end to end.
+    /// Finishes, returning the body plus the stored encoders its encoder
+    /// references index. The heap must land at an 8-byte-aligned offset of
+    /// whatever blob it is embedded in, so the recorded array offsets stay
+    /// aligned for zero-copy reinterpretation; it is padded to a multiple
+    /// of 8 so containers that embed it stay 8-aligned end to end.
     pub fn into_parts(mut self) -> (RecordParts, Vec<SinusoidEncoder>) {
-        if self.heap.is_some() {
-            self.align_heap();
-        }
+        self.align_heap();
         let body = RecordParts {
             structure: self.buf,
-            heap: self.heap.unwrap_or_default(),
+            heap: self.heap,
         };
         (body, self.encoders)
     }
 
     /// Pads the heap to an 8-byte boundary and returns the write offset.
     fn align_heap(&mut self) -> u64 {
-        let heap = self.heap.as_mut().expect("heap-mode writer");
-        while !heap.len().is_multiple_of(8) {
-            heap.push(0);
+        self.heap.resize(self.heap.len().next_multiple_of(8), 0);
+        self.heap.len() as u64
+    }
+
+    /// Appends `values` to the heap at the next 8-aligned offset and
+    /// records that offset in the stream.
+    fn put_heap<T: Copy, const N: usize>(&mut self, values: &[T], to_le: fn(T) -> [u8; N]) {
+        let off = self.align_heap();
+        self.heap.reserve(values.len() * N);
+        for &v in values {
+            self.heap.extend_from_slice(&to_le(v));
         }
-        heap.len() as u64
+        self.put_u64(off);
     }
 
     /// Appends a `u8`.
@@ -219,51 +200,22 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a length-prefixed `f32` slice.
+    /// Appends a length-prefixed `f32` array.
     pub fn put_f32_slice(&mut self, v: &[f32]) {
         self.put_u64(v.len() as u64);
-        if self.heap.is_some() {
-            let off = self.align_heap();
-            let heap = self.heap.as_mut().expect("heap-mode writer");
-            for &x in v {
-                heap.extend_from_slice(&x.to_le_bytes());
-            }
-            self.put_u64(off);
-        } else {
-            for &x in v {
-                self.put_f32(x);
-            }
-        }
+        self.put_heap(v, f32::to_le_bytes);
     }
 
-    /// Appends a length-prefixed `i8` slice.
+    /// Appends a length-prefixed `i8` array.
     pub fn put_i8_slice(&mut self, v: &[i8]) {
         self.put_u64(v.len() as u64);
-        if self.heap.is_some() {
-            let off = self.align_heap();
-            let heap = self.heap.as_mut().expect("heap-mode writer");
-            heap.extend(v.iter().map(|&x| x as u8));
-            self.put_u64(off);
-        } else {
-            self.buf.extend(v.iter().map(|&x| x as u8));
-        }
+        self.put_heap(v, i8::to_le_bytes);
     }
 
-    /// Appends a length-prefixed `u64` slice.
+    /// Appends a length-prefixed `u64` array.
     pub fn put_u64_slice(&mut self, v: &[u64]) {
         self.put_u64(v.len() as u64);
-        if self.heap.is_some() {
-            let off = self.align_heap();
-            let heap = self.heap.as_mut().expect("heap-mode writer");
-            for &x in v {
-                heap.extend_from_slice(&x.to_le_bytes());
-            }
-            self.put_u64(off);
-        } else {
-            for &x in v {
-                self.put_u64(x);
-            }
-        }
+        self.put_heap(v, u64::to_le_bytes);
     }
 
     /// Appends a shape-prefixed bitpacked matrix.
@@ -277,70 +229,38 @@ impl Writer {
     pub fn put_matrix(&mut self, m: &Matrix) {
         self.put_u64(m.rows() as u64);
         self.put_u64(m.cols() as u64);
-        if self.heap.is_some() {
-            let off = self.align_heap();
-            let heap = self.heap.as_mut().expect("heap-mode writer");
-            heap.reserve(m.as_slice().len() * 4);
-            for &x in m.as_slice() {
-                heap.extend_from_slice(&x.to_le_bytes());
-            }
-            self.put_u64(off);
-        } else {
-            for &x in m.as_slice() {
-                self.put_f32(x);
-            }
-        }
+        self.put_heap(m.as_slice(), f32::to_le_bytes);
     }
 }
 
-/// The payload heap a shared-mode [`Reader`] resolves array references
-/// against: a window of a reference-counted blob, kept alive by the
-/// decoded models' zero-copy views.
-#[derive(Debug)]
-struct HeapSource {
-    blob: Arc<Blob>,
-    base: usize,
-    len: usize,
-}
-
-/// Little-endian byte source with bounds checking.
-///
-/// The shared-mode constructor ([`Reader::new_shared`]) decodes structure
-/// streams written by a heap-mode [`Writer`]: array reads resolve their
-/// `u64` heap offsets against a reference-counted blob and — for the bulk
-/// containers (matrices, packed words, int8 grids) — hand back zero-copy
-/// views borrowing the blob instead of copied allocations. Encoder
+/// Little-endian, bounds-checked source for one record body: a structure
+/// stream written by a [`Writer`] plus the blob window holding its payload
+/// heap. Array reads resolve their heap offsets against the blob and, for
+/// the bulk containers (matrices, packed words, int8 grids), hand back
+/// zero-copy views borrowing it instead of copied allocations. Encoder
 /// references resolve against the caller's already-decoded encoders.
 #[derive(Debug)]
 pub struct Reader<'a> {
     data: &'a [u8],
     pos: usize,
-    heap: Option<HeapSource>,
+    blob: Arc<Blob>,
+    heap_base: usize,
+    heap_len: usize,
     encoders: &'a [SinusoidEncoder],
 }
 
 impl<'a> Reader<'a> {
-    /// Wraps a byte slice (inline mode).
-    pub fn new(data: &'a [u8]) -> Self {
-        Self {
-            data,
-            pos: 0,
-            heap: None,
-            encoders: &[],
-        }
-    }
-
     /// Wraps a structure stream plus the blob window holding its payload
-    /// heap. `heap_base` must be 8-byte aligned within the blob (the
-    /// store's record layout guarantees this), or every array view will
-    /// fail alignment validation. The stream's `index`-th encoder
-    /// reference decodes to a clone of `encoders[index]`, which shares
-    /// its projection storage.
+    /// heap. `heap_base` must be 8-byte aligned within the blob (the store
+    /// and envelope layouts guarantee this), or every array view will fail
+    /// alignment validation. The stream's `index`-th encoder reference
+    /// decodes to a clone of `encoders[index]`, which shares its
+    /// projection storage.
     ///
     /// # Errors
     ///
     /// Fails when the heap window exceeds the blob.
-    pub fn new_shared(
+    pub fn new(
         data: &'a [u8],
         blob: Arc<Blob>,
         heap_base: usize,
@@ -359,11 +279,9 @@ impl<'a> Reader<'a> {
         Ok(Self {
             data,
             pos: 0,
-            heap: Some(HeapSource {
-                blob,
-                base: heap_base,
-                len: heap_len,
-            }),
+            blob,
+            heap_base,
+            heap_len,
             encoders,
         })
     }
@@ -379,37 +297,21 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    /// [`Reader::take`] for a counted array: validates `count × elem`
-    /// against the bytes actually remaining *before* any allocation, so a
-    /// corrupted length prefix yields a descriptive error instead of a
-    /// multi-gigabyte reserve or an abort.
-    fn take_elems(&mut self, count: usize, elem: usize, what: &str) -> Result<&'a [u8]> {
-        let bytes = count
-            .checked_mul(elem)
-            .ok_or_else(|| persist_err(format!("{what} length {count} overflows")))?;
-        let remaining = self.data.len() - self.pos;
-        if bytes > remaining {
-            return Err(persist_err(format!(
-                "{what} claims {count} elements ({bytes} bytes) but only {remaining} bytes remain"
-            )));
-        }
-        self.take(bytes)
-    }
-
     /// Reads an array's heap offset and validates the referenced
-    /// `count × elem` byte range against the heap window.
+    /// `count × elem` byte range against the heap window, returning the
+    /// range's start within the blob.
     fn heap_ref(&mut self, count: usize, elem: usize, what: &str) -> Result<usize> {
-        let heap_len = self.heap.as_ref().expect("shared-mode reader").len;
         let off = self.get_len()?;
         let bytes = count
             .checked_mul(elem)
             .ok_or_else(|| persist_err(format!("{what} length {count} overflows")))?;
-        if off.checked_add(bytes).is_none_or(|end| end > heap_len) {
+        if off.checked_add(bytes).is_none_or(|end| end > self.heap_len) {
             return Err(persist_err(format!(
-                "{what} payload at {off}+{bytes} exceeds heap of {heap_len} bytes"
+                "{what} payload at {off}+{bytes} exceeds heap of {} bytes",
+                self.heap_len
             )));
         }
-        Ok(off)
+        Ok(self.heap_base + off)
     }
 
     /// Reads a `u8`.
@@ -474,95 +376,56 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// Reads `len` raw bytes, validating `len` against the remaining
-    /// input *before* any allocation — the read for untrusted counted
-    /// sections (envelope spec text, embedded payloads).
+    /// Reads `len` raw stream bytes, validating `len` against the
+    /// remaining input *before* any allocation — the read for untrusted
+    /// counted sections (spec text, envelope parts).
     ///
     /// # Errors
     ///
     /// Fails with a descriptive error naming `what` when fewer than `len`
     /// bytes remain.
     pub fn get_bytes(&mut self, len: usize, what: &str) -> Result<&'a [u8]> {
-        self.take_elems(len, 1, what)
+        let remaining = self.data.len() - self.pos;
+        if len > remaining {
+            return Err(persist_err(format!(
+                "{what} claims {len} bytes but only {remaining} remain"
+            )));
+        }
+        self.take(len)
     }
 
-    /// Bytes `start..start + len` of the heap window (pre-validated by
-    /// [`Reader::heap_ref`]).
-    fn heap_bytes(&self, off: usize, bytes: usize) -> &[u8] {
-        let heap = self.heap.as_ref().expect("shared-mode reader");
-        &heap.blob.as_bytes()[heap.base + off..heap.base + off + bytes]
+    /// The stream offset of the next read.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
     }
 
-    fn decode_f32s(bytes: &[u8]) -> Vec<f32> {
-        bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect()
-    }
-
-    /// Reads a length-prefixed `f32` vector (copied out of the heap in
-    /// shared mode — the small vectors this decodes, biases and scales,
-    /// are not worth a view).
+    /// Reads a length-prefixed `f32` array, copied out of the heap — the
+    /// small vectors this decodes, phases and scales, are not worth a view.
     ///
     /// # Errors
     ///
-    /// Fails on truncated input or an out-of-range length prefix.
+    /// Fails on truncated input or an out-of-range array.
     pub fn get_f32_vec(&mut self) -> Result<Vec<f32>> {
         let len = self.get_len()?;
-        if self.heap.is_some() {
-            let off = self.heap_ref(len, 4, "f32 vector")?;
-            Ok(Self::decode_f32s(self.heap_bytes(off, len * 4)))
-        } else {
-            Ok(Self::decode_f32s(self.take_elems(len, 4, "f32 vector")?))
-        }
-    }
-
-    /// Reads a length-prefixed `i8` vector.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated input or an out-of-range length prefix.
-    pub fn get_i8_vec(&mut self) -> Result<Vec<i8>> {
-        Ok(self.get_i8_storage()?.into_vec())
-    }
-
-    /// [`Reader::get_i8_vec`], but in shared mode the bytes stay a
-    /// zero-copy view into the blob instead of being copied out.
-    pub(crate) fn get_i8_storage(&mut self) -> Result<Storage<i8>> {
-        let len = self.get_len()?;
-        if self.heap.is_some() {
-            let off = self.heap_ref(len, 1, "i8 vector")?;
-            let heap = self.heap.as_ref().expect("shared-mode reader");
-            let view = SharedSlice::<i8>::new(Arc::clone(&heap.blob), heap.base + off, len)
-                .map_err(|e| persist_err(e.to_string()))?;
-            Ok(Storage::shared(view))
-        } else {
-            let bytes = self.take_elems(len, 1, "i8 vector")?;
-            Ok(bytes.iter().map(|&b| b as i8).collect::<Vec<_>>().into())
-        }
-    }
-
-    /// Reads a length-prefixed `u64` vector.
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated input or an out-of-range length prefix.
-    pub fn get_u64_vec(&mut self) -> Result<Vec<u64>> {
-        let len = self.get_len()?;
-        let bytes = if self.heap.is_some() {
-            let off = self.heap_ref(len, 8, "u64 vector")?;
-            self.heap_bytes(off, len * 8)
-        } else {
-            self.take_elems(len, 8, "u64 vector")?
-        };
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+        let at = self.heap_ref(len, 4, "f32 vector")?;
+        Ok(self.blob.as_bytes()[at..at + 4 * len]
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
             .collect())
     }
 
-    /// Reads a shape-prefixed bitpacked matrix — a zero-copy view into
-    /// the blob in shared mode.
+    /// Reads a length-prefixed `i8` array as a zero-copy view into the
+    /// blob.
+    pub(crate) fn get_i8_storage(&mut self) -> Result<Storage<i8>> {
+        let len = self.get_len()?;
+        let at = self.heap_ref(len, 1, "i8 vector")?;
+        let view = SharedSlice::<i8>::new(Arc::clone(&self.blob), at, len)
+            .map_err(|e| persist_err(e.to_string()))?;
+        Ok(Storage::shared(view))
+    }
+
+    /// Reads a shape-prefixed bitpacked matrix as a zero-copy view into
+    /// the blob.
     ///
     /// # Errors
     ///
@@ -570,24 +433,17 @@ impl<'a> Reader<'a> {
     pub fn get_packed_matrix(&mut self) -> Result<PackedMatrix> {
         let rows = self.get_len()?;
         let dim = self.get_len()?;
-        if self.heap.is_some() {
-            let len = self.get_len()?;
-            let off = self.heap_ref(len, 8, "packed matrix")?;
-            let heap = self.heap.as_ref().expect("shared-mode reader");
-            let m = PackedMatrix::from_shared(Arc::clone(&heap.blob), heap.base + off, rows, dim)
-                .map_err(|e| persist_err(e.to_string()))?;
-            if m.as_words().len() != len {
-                return Err(persist_err("packed matrix word count disagrees with shape"));
-            }
-            Ok(m)
-        } else {
-            let words = self.get_u64_vec()?;
-            PackedMatrix::from_parts(words, rows, dim).map_err(|e| persist_err(e.to_string()))
+        let len = self.get_len()?;
+        let at = self.heap_ref(len, 8, "packed matrix")?;
+        let m = PackedMatrix::from_shared(Arc::clone(&self.blob), at, rows, dim)
+            .map_err(|e| persist_err(e.to_string()))?;
+        if m.as_words().len() != len {
+            return Err(persist_err("packed matrix word count disagrees with shape"));
         }
+        Ok(m)
     }
 
-    /// Reads a shape-prefixed matrix — a zero-copy view into the blob in
-    /// shared mode.
+    /// Reads a shape-prefixed matrix as a zero-copy view into the blob.
     ///
     /// # Errors
     ///
@@ -598,18 +454,12 @@ impl<'a> Reader<'a> {
         let n = rows
             .checked_mul(cols)
             .ok_or_else(|| persist_err("matrix shape overflows"))?;
-        if self.heap.is_some() {
-            let off = self.heap_ref(n, 4, "matrix")?;
-            let heap = self.heap.as_ref().expect("shared-mode reader");
-            Matrix::from_shared(Arc::clone(&heap.blob), heap.base + off, rows, cols)
-                .map_err(|e| persist_err(e.to_string()))
-        } else {
-            let data = Self::decode_f32s(self.take_elems(n, 4, "matrix")?);
-            Matrix::from_vec(rows, cols, data).map_err(|e| persist_err(e.to_string()))
-        }
+        let at = self.heap_ref(n, 4, "matrix")?;
+        Matrix::from_shared(Arc::clone(&self.blob), at, rows, cols)
+            .map_err(|e| persist_err(e.to_string()))
     }
 
-    /// Whether every byte has been consumed.
+    /// Whether every stream byte has been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.pos == self.data.len()
     }
@@ -684,16 +534,12 @@ fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
             w.put_f32(spec.bandwidth);
             w.put_u64(spec.seed);
         }
-        None if w.has_heap() => {
-            // Heap mode keeps the projection out of the record: the store
-            // writes each distinct encoder once and models reference it.
+        None => {
+            // The projection stays out of the stream: its owner writes
+            // each distinct encoder once and models reference it.
             w.put_u64(ENCODER_REF_SENTINEL);
             w.put_u64(w.encoders.len() as u64);
             w.encoders.push(enc.clone());
-        }
-        None => {
-            w.put_matrix(&enc.projection_matrix());
-            w.put_f32_slice(enc.bias());
         }
     }
 }
@@ -704,7 +550,8 @@ fn put_encoder(w: &mut Writer, enc: &SinusoidEncoder) {
 /// read borrows the projection with no transpose pass and no allocation.
 /// The fleet store fingerprints and byte-compares a body against stored
 /// records without serializing it, and serializes it
-/// ([`EncoderBody::to_parts`]) only to write a new record.
+/// ([`EncoderBody::to_parts`]) only to write a new record; an envelope
+/// always carries it serialized.
 #[derive(Debug)]
 pub(crate) struct EncoderBody<'a> {
     structure: Vec<u8>,
@@ -722,7 +569,7 @@ impl<'a> EncoderBody<'a> {
         let (projection, bias) = (projection_t.as_slice(), enc.bias());
         let bias_at = (4 * projection.len()).next_multiple_of(8);
         let heap_len = (bias_at + 4 * bias.len()).next_multiple_of(8);
-        // The stream a heap-mode `put_matrix` + `put_f32_slice` writes:
+        // The stream `put_matrix` + `put_f32_slice` write:
         // shape and heap offset, then length and heap offset.
         let mut structure = Vec::with_capacity(40);
         for v in [
@@ -821,7 +668,7 @@ pub(crate) fn encoder_from_parts(
     heap_base: usize,
     heap_len: usize,
 ) -> Result<SinusoidEncoder> {
-    let mut r = Reader::new_shared(structure, blob, heap_base, heap_len, &[])?;
+    let mut r = Reader::new(structure, blob, heap_base, heap_len, &[])?;
     let projection_t = r.get_matrix()?;
     let bias = r.get_f32_vec()?;
     if !r.is_exhausted() {
@@ -830,37 +677,68 @@ pub(crate) fn encoder_from_parts(
     SinusoidEncoder::from_parts_transposed(projection_t, bias).map_err(BoostHdError::from)
 }
 
-fn get_encoder(r: &mut Reader<'_>) -> Result<SinusoidEncoder> {
-    let rows = r.get_u64()?;
-    if rows == REMAT_SENTINEL {
-        let spec = RematSpec {
+/// An encoder as a model stream records it. A recipe is regenerated only
+/// by [`StreamEncoder::build`], once the model's declared width is known.
+enum StreamEncoder {
+    /// A stored encoder, decoded by the body's owner and referenced here.
+    Shared(SinusoidEncoder),
+    /// A rematerialization recipe, not yet checked or built.
+    Recipe(RematSpec),
+}
+
+impl StreamEncoder {
+    /// The encoder, checked against the model's declared `width` (read
+    /// from its header or its class memory) before a recipe spends any of
+    /// its `dim × input_len` draws.
+    fn build(self, width: usize) -> Result<SinusoidEncoder> {
+        let dim = match &self {
+            Self::Shared(enc) => enc.dim(),
+            Self::Recipe(spec) => spec.dim,
+        };
+        if dim != width {
+            return Err(persist_err(format!(
+                "encoder width {dim} disagrees with the model width {width}"
+            )));
+        }
+        match self {
+            Self::Shared(enc) => Ok(enc),
+            Self::Recipe(spec) => {
+                if spec
+                    .dim
+                    .checked_mul(spec.input_len)
+                    .is_none_or(|n| n > MAX_REMAT_PROJECTION)
+                {
+                    return Err(persist_err(format!(
+                        "rematerialized encoder {} x {} exceeds the {MAX_REMAT_PROJECTION}-element cap",
+                        spec.dim, spec.input_len
+                    )));
+                }
+                SinusoidEncoder::from_remat_spec(spec).map_err(BoostHdError::from)
+            }
+        }
+    }
+}
+
+fn get_encoder(r: &mut Reader<'_>) -> Result<StreamEncoder> {
+    match r.get_u64()? {
+        REMAT_SENTINEL => Ok(StreamEncoder::Recipe(RematSpec {
             dim: r.get_len()?,
             input_len: r.get_len()?,
             bandwidth: r.get_f32()?,
             seed: r.get_u64()?,
-        };
-        return SinusoidEncoder::from_remat_spec(spec).map_err(BoostHdError::from);
+        })),
+        ENCODER_REF_SENTINEL => {
+            let index = r.get_len()?;
+            let enc = r.encoders.get(index).cloned().ok_or_else(|| {
+                persist_err(format!(
+                    "encoder reference {index} is outside the {} encoder(s) supplied with the stream",
+                    r.encoders.len()
+                ))
+            })?;
+            Ok(StreamEncoder::Shared(enc))
+        }
+        other => Err(persist_err(format!("unknown encoder tag {other:#x}"))),
     }
-    if rows == ENCODER_REF_SENTINEL {
-        let index = r.get_len()?;
-        return r.encoders.get(index).cloned().ok_or_else(|| {
-            persist_err(format!(
-                "encoder reference {index} is outside the {} encoder(s) supplied with the stream",
-                r.encoders.len()
-            ))
-        });
-    }
-    // Stored projection: `rows` was the matrix row count — finish reading
-    // the matrix in place.
-    let rows = usize::try_from(rows).map_err(|_| persist_err("length overflows usize"))?;
-    let cols = r.get_len()?;
-    let n = rows
-        .checked_mul(cols)
-        .ok_or_else(|| persist_err("matrix shape overflows"))?;
-    let data = Reader::decode_f32s(r.take_elems(n, 4, "projection matrix")?);
-    let projection = Matrix::from_vec(rows, cols, data).map_err(|e| persist_err(e.to_string()))?;
-    let bias = r.get_f32_vec()?;
-    SinusoidEncoder::from_parts(projection, bias).map_err(BoostHdError::from)
 }
 
 fn precision_code(p: Precision) -> u8 {
@@ -909,67 +787,8 @@ fn get_memory(r: &mut Reader<'_>) -> Result<ClassMemory> {
     })
 }
 
-/// The byte-level entry points every model family shares, around its
-/// `encode_into`/`decode_from` body.
-macro_rules! impl_blob_io {
-    ($ty:ty) => {
-        impl $ty {
-            /// Serializes the trained model to the compact binary format.
-            pub fn to_bytes(&self) -> Vec<u8> {
-                let mut w = Writer::new();
-                self.encode_into(&mut w);
-                w.into_bytes()
-            }
-
-            /// Deserializes a model written by `to_bytes`.
-            ///
-            /// # Errors
-            ///
-            /// Returns [`BoostHdError::DataMismatch`] for truncated,
-            /// corrupt, wrong-version, or wrong-kind blobs.
-            pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-                let mut r = Reader::new(bytes);
-                let model = Self::decode_from(&mut r)?;
-                if !r.is_exhausted() {
-                    return Err(persist_err("trailing bytes after model blob"));
-                }
-                Ok(model)
-            }
-
-            /// Writes the model to a file atomically (temp sibling, fsync,
-            /// rename), so a crash mid-save never leaves a torn file at
-            /// `path`.
-            ///
-            /// # Errors
-            ///
-            /// Returns [`BoostHdError::DataMismatch`] wrapping any I/O
-            /// failure.
-            pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
-                atomic_write(path.as_ref(), &self.to_bytes())
-                    .map_err(|e| persist_err(e.to_string()))
-            }
-
-            /// Reads a model written by `save`.
-            ///
-            /// # Errors
-            ///
-            /// As `from_bytes`, plus I/O failures.
-            pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self> {
-                let bytes = std::fs::read(path).map_err(|e| persist_err(e.to_string()))?;
-                Self::from_bytes(&bytes)
-            }
-        }
-    };
-}
-
-impl_blob_io!(OnlineHd);
-impl_blob_io!(CentroidHd);
-impl_blob_io!(BoostHd);
-
 impl OnlineHd {
-    /// Writes the full model blob (header included) into `w` — the body
-    /// shared by [`OnlineHd::to_bytes`] and the fleet store's heap-mode
-    /// records.
+    /// Writes the model's record body (header included) into `w`.
     pub(crate) fn encode_into(&self, w: &mut Writer) {
         put_header(w, KIND_ONLINE);
         let c = self.config();
@@ -984,9 +803,7 @@ impl OnlineHd {
         put_memory(w, self.class_memory());
     }
 
-    /// Decodes a full model blob from `r` — the body shared by
-    /// [`OnlineHd::from_bytes`] and the fleet store's shared-mode reads
-    /// (exhaustion is the caller's check).
+    /// Decodes a record body from `r` (exhaustion is the caller's check).
     pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
         check_header(r, KIND_ONLINE)?;
         let mut config = OnlineHdConfig {
@@ -1005,12 +822,12 @@ impl OnlineHd {
             return Err(persist_err("class memory width disagrees with header"));
         }
         config.precision = memory.precision();
-        Self::from_parts(encoder, memory, num_classes, config)
+        Self::from_parts(encoder.build(config.dim)?, memory, num_classes, config)
     }
 }
 
 impl CentroidHd {
-    /// Full-blob encode body shared with the fleet store.
+    /// Writes the model's record body (header included) into `w`.
     pub(crate) fn encode_into(&self, w: &mut Writer) {
         put_header(w, KIND_CENTROID);
         w.put_u64(self.num_classes() as u64);
@@ -1018,13 +835,13 @@ impl CentroidHd {
         put_memory(w, self.class_memory());
     }
 
-    /// Full-blob decode body shared with the fleet store.
+    /// Decodes a record body from `r` (exhaustion is the caller's check).
     pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
         check_header(r, KIND_CENTROID)?;
         let num_classes = r.get_len()?;
         let encoder = get_encoder(r)?;
         let memory = get_memory(r)?;
-        Self::from_parts(encoder, memory, num_classes)
+        Self::from_parts(encoder.build(memory.dim())?, memory, num_classes)
     }
 }
 
@@ -1074,7 +891,7 @@ fn sample_from(tag: u8) -> Result<SampleMode> {
 }
 
 impl BoostHd {
-    /// Full-blob encode body shared with the fleet store.
+    /// Writes the model's record body (header included) into `w`.
     pub(crate) fn encode_into(&self, w: &mut Writer) {
         put_header(w, KIND_BOOST);
         let c = self.config();
@@ -1114,7 +931,7 @@ impl BoostHd {
         }
     }
 
-    /// Full-blob decode body shared with the fleet store.
+    /// Decodes a record body from `r` (exhaustion is the caller's check).
     pub(crate) fn decode_from(r: &mut Reader<'_>) -> Result<Self> {
         check_header(r, KIND_BOOST)?;
         let mut config = BoostHdConfig {
@@ -1134,7 +951,7 @@ impl BoostHd {
             ..BoostHdConfig::default()
         };
         let num_classes = r.get_len()?;
-        let encoder = get_encoder(r)?;
+        let encoder = get_encoder(r)?.build(config.dim_total)?;
         let n_errors = r.get_len()?;
         let mut train_errors = Vec::with_capacity(n_errors.min(1 << 16));
         for _ in 0..n_errors {
@@ -1152,7 +969,7 @@ impl BoostHd {
             let memory = get_memory(r)?;
             let own_encoder = match r.get_u8()? {
                 0 => None,
-                1 => Some(get_encoder(r)?),
+                1 => Some(get_encoder(r)?.build(config.dim_total)?),
                 other => return Err(persist_err(format!("unknown encoder tag {other}"))),
             };
             learners.push((alpha, start, end, memory, own_encoder));
@@ -1168,6 +985,8 @@ impl BoostHd {
 mod tests {
     use super::*;
     use crate::classifier::Classifier;
+    use crate::pipeline::{Model, Pipeline};
+    use crate::spec::ModelSpec;
     use linalg::Rng64;
 
     fn toy() -> (Matrix, Vec<usize>) {
@@ -1182,6 +1001,62 @@ mod tests {
         (Matrix::from_rows(&rows).unwrap(), labels)
     }
 
+    /// A reader over a body whose heap sits alone in its own blob.
+    fn reader<'a>(body: &'a RecordParts, encoders: &'a [SinusoidEncoder]) -> Reader<'a> {
+        let blob = Arc::new(Blob::from_bytes(&body.heap));
+        Reader::new(&body.structure, blob, 0, body.heap.len(), encoders).unwrap()
+    }
+
+    /// The spec an envelope records for `model` (metadata only: loading
+    /// never refits from it).
+    fn spec_of(model: &dyn Model) -> ModelSpec {
+        let any = model.as_any();
+        if let Some(m) = any.downcast_ref::<OnlineHd>() {
+            ModelSpec::OnlineHd(*m.config())
+        } else if let Some(m) = any.downcast_ref::<BoostHd>() {
+            ModelSpec::BoostHd(*m.config())
+        } else {
+            ModelSpec::CentroidHd(crate::CentroidHdConfig::default())
+        }
+    }
+
+    fn pipeline_of(model: &dyn Model) -> Pipeline {
+        Pipeline::from_model(spec_of(model), model.clone_box())
+    }
+
+    /// A `.bhde` envelope holding `model`.
+    fn envelope(model: &dyn Model) -> Vec<u8> {
+        pipeline_of(model).to_bytes().unwrap()
+    }
+
+    /// The `M` an envelope holds.
+    fn reload<M: Model + Clone + 'static>(bytes: &[u8]) -> Result<M> {
+        let pipeline = Pipeline::from_bytes(bytes)?;
+        Ok(pipeline
+            .downcast_ref::<M>()
+            .expect("envelope holds another family")
+            .clone())
+    }
+
+    /// Offset of the model body (its `BHD1` magic) in an envelope: after
+    /// the 16-byte header, the model part's two lengths, and the record
+    /// prefix (kind, threshold, spec length, spec text).
+    fn body_at(bytes: &[u8]) -> usize {
+        45 + u64::from_le_bytes(bytes[37..45].try_into().unwrap()) as usize
+    }
+
+    fn remat_online(dim: usize) -> OnlineHd {
+        let (x, y) = toy();
+        let config = OnlineHdConfig {
+            dim,
+            epochs: 2,
+            ..Default::default()
+        };
+        let mut model = OnlineHd::fit(&config, &x, &y).unwrap();
+        model.rematerialize_encoder().unwrap();
+        model
+    }
+
     #[test]
     fn writer_reader_primitives_round_trip() {
         let mut w = Writer::new();
@@ -1191,8 +1066,8 @@ mod tests {
         w.put_f32(-1.5);
         w.put_f64(std::f64::consts::PI);
         w.put_f32_slice(&[1.0, 2.0, 3.0]);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
+        let (body, _) = w.into_parts();
+        let mut r = reader(&body, &[]);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 3);
@@ -1208,17 +1083,17 @@ mod tests {
         let m = Matrix::random_normal(5, 7, &mut rng);
         let mut w = Writer::new();
         w.put_matrix(&m);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.get_matrix().unwrap(), m);
+        let (body, _) = w.into_parts();
+        assert_eq!(reader(&body, &[]).get_matrix().unwrap(), m);
     }
 
     #[test]
     fn truncated_read_fails_cleanly() {
         let mut w = Writer::new();
         w.put_u64(10);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes[..4]);
+        let (body, _) = w.into_parts();
+        let blob = Arc::new(Blob::from_bytes(&[]));
+        let mut r = Reader::new(&body.structure[..4], blob, 0, 0, &[]).unwrap();
         assert!(r.get_u64().is_err());
     }
 
@@ -1231,7 +1106,7 @@ mod tests {
             ..Default::default()
         };
         let model = OnlineHd::fit(&config, &x, &y).unwrap();
-        let restored = OnlineHd::from_bytes(&model.to_bytes()).unwrap();
+        let restored: OnlineHd = reload(&envelope(&model)).unwrap();
         assert_eq!(model.predict_batch(&x), restored.predict_batch(&x));
         assert_eq!(model.class_hypervectors(), restored.class_hypervectors());
         assert_eq!(model.config(), restored.config());
@@ -1247,7 +1122,7 @@ mod tests {
             ..Default::default()
         };
         let model = BoostHd::fit(&config, &x, &y).unwrap();
-        let restored = BoostHd::from_bytes(&model.to_bytes()).unwrap();
+        let restored: BoostHd = reload(&envelope(&model)).unwrap();
         assert_eq!(model.predict_batch(&x), restored.predict_batch(&x));
         assert_eq!(model.alphas(), restored.alphas());
         assert_eq!(model.training_errors(), restored.training_errors());
@@ -1266,9 +1141,9 @@ mod tests {
         let model = BoostHd::fit(&config, &x, &y).unwrap();
         let dir = std::env::temp_dir().join("boosthd_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.bhd");
-        model.save(&path).unwrap();
-        let restored = BoostHd::load(&path).unwrap();
+        let path = dir.join("model.bhde");
+        pipeline_of(&model).save(&path).unwrap();
+        let restored = Pipeline::load(&path).unwrap();
         assert_eq!(model.predict_batch(&x), restored.predict_batch(&x));
         std::fs::remove_file(&path).ok();
     }
@@ -1299,7 +1174,7 @@ mod tests {
     #[test]
     fn quantized_onlinehd_round_trips() {
         let (quantized, x) = online_at(Precision::Binary, 96);
-        let restored = OnlineHd::from_bytes(&quantized.to_bytes()).unwrap();
+        let restored: OnlineHd = reload(&envelope(&quantized)).unwrap();
         assert_eq!(quantized.predict_batch(&x), restored.predict_batch(&x));
         assert_eq!(restored.precision(), Precision::Binary);
         assert_eq!(restored.config(), quantized.config());
@@ -1314,7 +1189,7 @@ mod tests {
     #[test]
     fn quantized_boosthd_round_trips() {
         let (quantized, x) = boost_at(Precision::Binary);
-        let restored = BoostHd::from_bytes(&quantized.to_bytes()).unwrap();
+        let restored: BoostHd = reload(&envelope(&quantized)).unwrap();
         assert_eq!(quantized.predict_batch(&x), restored.predict_batch(&x));
         assert_eq!(quantized.alphas(), restored.alphas());
         assert_eq!(quantized.config(), restored.config());
@@ -1324,27 +1199,21 @@ mod tests {
     #[test]
     fn precision_tag_is_persisted_and_validated() {
         // A rematerialized encoder has a fixed 36-byte recipe, which puts
-        // the class-memory precision tag at a known offset: header (6),
-        // config (37), class count (8), encoder (36).
-        let (x, y) = toy();
-        let config = OnlineHdConfig {
-            dim: 32,
-            epochs: 2,
-            ..Default::default()
-        };
-        let mut model = OnlineHd::fit(&config, &x, &y).unwrap();
-        model.rematerialize_encoder().unwrap();
+        // the class-memory precision tag at a known offset of the body:
+        // header (6), config (37), class count (8), encoder (36).
+        let model = remat_online(32);
         const TAG: usize = 6 + 37 + 8 + 36;
         for (precision, tag) in [
             (Precision::F32, 0u8),
             (Precision::Int8, 1),
             (Precision::Binary, 2),
         ] {
-            let mut bytes = model.with_precision(precision).unwrap().to_bytes();
-            assert_eq!(bytes[TAG], tag, "{precision:?}");
-            assert_eq!(OnlineHd::from_bytes(&bytes).unwrap().precision(), precision);
-            bytes[TAG] = 7;
-            let err = OnlineHd::from_bytes(&bytes).unwrap_err();
+            let mut bytes = envelope(&model.with_precision(precision).unwrap());
+            let at = body_at(&bytes) + TAG;
+            assert_eq!(bytes[at], tag, "{precision:?}");
+            assert_eq!(reload::<OnlineHd>(&bytes).unwrap().precision(), precision);
+            bytes[at] = 7;
+            let err = reload::<OnlineHd>(&bytes).unwrap_err();
             assert!(err.to_string().contains("precision tag 7"), "{err}");
         }
     }
@@ -1352,18 +1221,19 @@ mod tests {
     #[test]
     fn truncated_quantized_blob_is_rejected() {
         let (quantized, _) = online_at(Precision::Binary, 32);
-        let bytes = quantized.to_bytes();
+        let bytes = envelope(&quantized);
         for cut in (0..bytes.len()).step_by(bytes.len() / 7 + 1) {
-            assert!(OnlineHd::from_bytes(&bytes[..cut]).is_err());
+            assert!(reload::<OnlineHd>(&bytes[..cut]).is_err());
         }
     }
 
     #[test]
     fn v1_header_is_rejected_for_quantized_kinds() {
         let (quantized, _) = online_at(Precision::Binary, 32);
-        let mut bytes = quantized.to_bytes();
-        bytes[4] = 1; // version byte: pretend this is a v1 blob
-        let err = OnlineHd::from_bytes(&bytes).unwrap_err();
+        let mut bytes = envelope(&quantized);
+        let at = body_at(&bytes);
+        bytes[at + 4] = 1; // version byte: pretend this is a v1 blob
+        let err = reload::<OnlineHd>(&bytes).unwrap_err();
         assert!(
             err.to_string().contains("unsupported model blob version 1"),
             "{err}"
@@ -1375,11 +1245,12 @@ mod tests {
         // Every earlier layout fails loudly instead of being reinterpreted
         // under the current grammar.
         let (model, _) = online_at(Precision::F32, 32);
-        let mut bytes = model.to_bytes();
-        assert_eq!(bytes[4], 5, "current writer stamps v5");
+        let mut bytes = envelope(&model);
+        let at = body_at(&bytes) + 4;
+        assert_eq!(bytes[at], 5, "current writer stamps v5");
         for old in 1..5u8 {
-            bytes[4] = old;
-            let err = OnlineHd::from_bytes(&bytes).unwrap_err();
+            bytes[at] = old;
+            let err = reload::<OnlineHd>(&bytes).unwrap_err();
             assert!(err.to_string().contains("reads version 5 only"), "{err}");
         }
     }
@@ -1387,7 +1258,7 @@ mod tests {
     #[test]
     fn quantized_i8_onlinehd_round_trips_bit_identically() {
         let (quantized, x) = online_at(Precision::Int8, 96);
-        let restored = OnlineHd::from_bytes(&quantized.to_bytes()).unwrap();
+        let restored: OnlineHd = reload(&envelope(&quantized)).unwrap();
         // Derived norms are recomputed from the stored bytes at load, so
         // the full score surface must match bit-for-bit, not just argmaxes.
         assert_eq!(quantized.scores_batch(&x), restored.scores_batch(&x));
@@ -1400,7 +1271,7 @@ mod tests {
     #[test]
     fn quantized_i8_boosthd_round_trips_bit_identically() {
         let (quantized, x) = boost_at(Precision::Int8);
-        let restored = BoostHd::from_bytes(&quantized.to_bytes()).unwrap();
+        let restored: BoostHd = reload(&envelope(&quantized)).unwrap();
         assert_eq!(quantized.scores_batch(&x), restored.scores_batch(&x));
         assert_eq!(quantized.alphas(), restored.alphas());
         assert_eq!(quantized.config(), restored.config());
@@ -1409,49 +1280,92 @@ mod tests {
     #[test]
     fn i8_kinds_require_v4() {
         let (quantized, _) = online_at(Precision::Int8, 32);
-        let mut bytes = quantized.to_bytes();
-        bytes[4] = 3; // pretend the blob predates the int8 memories
-        let err = OnlineHd::from_bytes(&bytes).unwrap_err();
+        let bytes = envelope(&quantized);
+        let at = body_at(&bytes);
+        let mut old = bytes.clone();
+        old[at + 4] = 3; // pretend the blob predates the int8 memories
+        let err = reload::<OnlineHd>(&old).unwrap_err();
         assert!(
             err.to_string().contains("unsupported model blob version 3"),
             "{err}"
         );
-        // An int8 OnlineHD blob is still an OnlineHD blob.
-        assert!(CentroidHd::from_bytes(&quantized.to_bytes()).is_err());
+        // An int8 OnlineHD body is still an OnlineHD body.
+        let mut centroid = bytes;
+        centroid[at + 5] = KIND_CENTROID;
+        let err = reload::<OnlineHd>(&centroid).unwrap_err();
+        assert!(err.to_string().contains("model kind 3"), "{err}");
     }
 
     #[test]
     fn truncated_i8_blob_is_rejected() {
         let (quantized, _) = online_at(Precision::Int8, 32);
-        let bytes = quantized.to_bytes();
+        let bytes = envelope(&quantized);
         for cut in (0..bytes.len()).step_by(bytes.len() / 7 + 1) {
-            assert!(OnlineHd::from_bytes(&bytes[..cut]).is_err());
+            assert!(reload::<OnlineHd>(&bytes[..cut]).is_err());
         }
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(OnlineHd::from_bytes(&trailing).is_err());
+        assert!(reload::<OnlineHd>(&trailing).is_err());
     }
 
     #[test]
     fn remat_encoder_round_trips_as_recipe() {
-        use hdc::encoder::{Encode, SinusoidEncoder};
-        // A rematerialized encoder persists as a ~32-byte recipe instead of
-        // the D×F projection, and reloads to bit-identical encodings.
+        // A rematerialized encoder persists as a 36-byte recipe in the
+        // stream instead of a D×F projection, and reloads to bit-identical
+        // encodings.
         let enc = SinusoidEncoder::try_new_remat(128, 6, 77).unwrap();
         let mut rng = Rng64::seed_from(3);
         let probe = Matrix::random_normal(5, 6, &mut rng);
         let mut w = Writer::new();
         super::put_encoder(&mut w, &enc);
-        let bytes = w.into_bytes();
-        assert!(
-            bytes.len() < 64,
-            "remat recipe should be tiny, got {} bytes",
-            bytes.len()
-        );
-        let mut r = Reader::new(&bytes);
-        let restored = super::get_encoder(&mut r).unwrap();
+        let (body, encoders) = w.into_parts();
+        assert_eq!(body.structure.len(), 36);
+        assert!(body.heap.is_empty() && encoders.is_empty());
+        let restored = super::get_encoder(&mut reader(&body, &[]))
+            .unwrap()
+            .build(128)
+            .unwrap();
         assert!(restored.is_rematerialized());
         assert_eq!(enc.encode_batch(&probe), restored.encode_batch(&probe));
+    }
+
+    /// A recipe is checked before it is built: a `dim` patched away from
+    /// the model's width, or a `dim × input_len` past the cap, fails at
+    /// once instead of spinning through the draws.
+    #[test]
+    fn corrupt_remat_recipes_fail_fast() {
+        let bytes = envelope(&remat_online(32));
+        // Body header (6), config (37), class count (8), sentinel (8).
+        let dim_at = body_at(&bytes) + 6 + 37 + 8 + 8;
+        let input_len_at = dim_at + 8;
+        assert_eq!(bytes[dim_at..dim_at + 8], 32u64.to_le_bytes());
+        let patched = |at: usize, value: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            reload::<OnlineHd>(&b).map(|_| ()).unwrap_err().to_string()
+        };
+        for value in [1 << 62, 33, u64::MAX] {
+            let err = patched(dim_at, value);
+            assert!(err.contains("disagrees"), "dim {value}: {err}");
+        }
+        for value in [1 << 62, 1 << 20, u64::MAX] {
+            let err = patched(input_len_at, value);
+            assert!(
+                err.contains("cap") || err.contains("overflows"),
+                "input_len {value}: {err}"
+            );
+        }
+        // The cap holds on its own, whatever the declared width.
+        let mut w = Writer::new();
+        super::put_encoder(&mut w, &SinusoidEncoder::try_new_remat(64, 6, 1).unwrap());
+        let (mut body, _) = w.into_parts();
+        body.structure[16..24].copy_from_slice(&(MAX_REMAT_PROJECTION as u64).to_le_bytes());
+        let err = super::get_encoder(&mut reader(&body, &[]))
+            .unwrap()
+            .build(64)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.to_string().contains("cap"), "{err}");
     }
 
     #[test]
@@ -1465,19 +1379,20 @@ mod tests {
         let mut model = OnlineHd::fit(&config, &x, &y).unwrap();
         model.rematerialize_encoder().unwrap();
         let quantized = model.with_precision(Precision::Int8).unwrap();
-        let stored_bytes = OnlineHd::fit(&config, &x, &y)
-            .unwrap()
-            .with_precision(Precision::Int8)
-            .unwrap()
-            .to_bytes();
-        let remat_bytes = quantized.to_bytes();
+        let stored_bytes = envelope(
+            &OnlineHd::fit(&config, &x, &y)
+                .unwrap()
+                .with_precision(Precision::Int8)
+                .unwrap(),
+        );
+        let remat_bytes = envelope(&quantized);
         assert!(
             remat_bytes.len() * 2 < stored_bytes.len(),
-            "remat blob ({}) should be far smaller than stored ({})",
+            "remat envelope ({}) should be far smaller than stored ({})",
             remat_bytes.len(),
             stored_bytes.len()
         );
-        let restored = OnlineHd::from_bytes(&remat_bytes).unwrap();
+        let restored: OnlineHd = reload(&remat_bytes).unwrap();
         assert_eq!(quantized.scores_batch(&x), restored.scores_batch(&x));
     }
 
@@ -1489,7 +1404,7 @@ mod tests {
             ..Default::default()
         };
         let model = CentroidHd::fit(&config, &x, &y).unwrap();
-        let restored = CentroidHd::from_bytes(&model.to_bytes()).unwrap();
+        let restored: CentroidHd = reload(&envelope(&model)).unwrap();
         assert_eq!(model.predict_batch(&x), restored.predict_batch(&x));
         assert_eq!(model.class_hypervectors(), restored.class_hypervectors());
     }
@@ -1502,65 +1417,54 @@ mod tests {
             ..Default::default()
         };
         let model = CentroidHd::fit(&config, &x, &y).unwrap();
-        let mut bytes = model.to_bytes();
-        assert!(OnlineHd::from_bytes(&bytes).is_err(), "kind is disjoint");
-        bytes[4] = 2; // pretend the blob predates the centroid kind
-        let err = CentroidHd::from_bytes(&bytes).unwrap_err();
+        let bytes = envelope(&model);
+        let at = body_at(&bytes);
+        let mut online = bytes.clone();
+        online[at + 5] = KIND_ONLINE;
+        assert!(reload::<CentroidHd>(&online).is_err(), "kind is disjoint");
+        let mut old = bytes;
+        old[at + 4] = 2; // pretend the blob predates the centroid kind
+        let err = reload::<CentroidHd>(&old).unwrap_err();
         assert!(
             err.to_string().contains("unsupported model blob version 2"),
             "{err}"
         );
     }
 
+    fn small_online() -> OnlineHd {
+        let (x, y) = toy();
+        let config = OnlineHdConfig {
+            dim: 32,
+            epochs: 2,
+            ..Default::default()
+        };
+        OnlineHd::fit(&config, &x, &y).unwrap()
+    }
+
     #[test]
     fn wrong_kind_is_rejected() {
-        let (x, y) = toy();
-        let online = OnlineHd::fit(
-            &OnlineHdConfig {
-                dim: 32,
-                epochs: 2,
-                ..Default::default()
-            },
-            &x,
-            &y,
-        )
-        .unwrap();
-        assert!(BoostHd::from_bytes(&online.to_bytes()).is_err());
+        let mut bytes = envelope(&small_online());
+        let at = body_at(&bytes);
+        bytes[at + 5] = KIND_BOOST;
+        assert!(reload::<OnlineHd>(&bytes).is_err());
     }
 
     #[test]
     fn corrupt_magic_is_rejected() {
-        let (x, y) = toy();
-        let model = OnlineHd::fit(
-            &OnlineHdConfig {
-                dim: 32,
-                epochs: 2,
-                ..Default::default()
-            },
-            &x,
-            &y,
-        )
-        .unwrap();
-        let mut bytes = model.to_bytes();
-        bytes[0] ^= 0xFF;
-        assert!(OnlineHd::from_bytes(&bytes).is_err());
+        let bytes = envelope(&small_online());
+        let mut body_magic = bytes.clone();
+        body_magic[body_at(&bytes)] ^= 0xFF;
+        let err = reload::<OnlineHd>(&body_magic).unwrap_err();
+        assert!(err.to_string().contains("bad magic"), "{err}");
+        let mut envelope_magic = bytes;
+        envelope_magic[0] ^= 0xFF;
+        assert!(reload::<OnlineHd>(&envelope_magic).is_err());
     }
 
     #[test]
     fn truncated_blob_is_rejected() {
-        let (x, y) = toy();
-        let model = OnlineHd::fit(
-            &OnlineHdConfig {
-                dim: 32,
-                epochs: 2,
-                ..Default::default()
-            },
-            &x,
-            &y,
-        )
-        .unwrap();
-        let bytes = model.to_bytes();
-        assert!(OnlineHd::from_bytes(&bytes[..bytes.len() / 2]).is_err());
+        let bytes = envelope(&small_online());
+        assert!(reload::<OnlineHd>(&bytes[..bytes.len() / 2]).is_err());
     }
 
     #[test]
@@ -1570,20 +1474,30 @@ mod tests {
         // abort on a multi-gigabyte reserve.
         let mut w = Writer::new();
         w.put_u64(1 << 61);
-        let bytes = w.into_bytes();
-        let rejected = |msg: String| msg.contains("but only") || msg.contains("overflows");
-        let err = Reader::new(&bytes).get_f32_vec().unwrap_err();
+        w.put_u64(0);
+        w.put_u64(1 << 61);
+        w.put_u64(0);
+        let (body, _) = w.into_parts();
+        let rejected = |msg: String| msg.contains("exceeds") || msg.contains("overflows");
+        let err = reader(&body, &[]).get_f32_vec().unwrap_err();
         assert!(rejected(err.to_string()), "{err}");
-        let err = Reader::new(&bytes).get_u64_vec().unwrap_err();
+        let err = reader(&body, &[]).get_i8_storage().map(|_| ()).unwrap_err();
         assert!(rejected(err.to_string()), "{err}");
-        let err = Reader::new(&bytes).get_i8_vec().unwrap_err();
+        // 2^61 packed words overflow the byte count.
+        let err = reader(&body, &[]).get_packed_matrix().unwrap_err();
         assert!(rejected(err.to_string()), "{err}");
         // Matrix shapes whose element count overflows are rejected too.
         let mut w = Writer::new();
         w.put_u64(u64::MAX / 2);
         w.put_u64(16);
-        let err = Reader::new(&w.into_bytes()).get_matrix().unwrap_err();
+        let (body, _) = w.into_parts();
+        let err = reader(&body, &[]).get_matrix().unwrap_err();
         assert!(err.to_string().contains("overflows"), "{err}");
+        // So is an envelope part claiming more bytes than the envelope.
+        let mut bytes = envelope(&small_online());
+        bytes[16..24].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        let err = reload::<OnlineHd>(&bytes).unwrap_err();
+        assert!(err.to_string().contains("but only"), "{err}");
     }
 
     #[test]
@@ -1592,22 +1506,21 @@ mod tests {
         let m = Matrix::random_normal(4, 6, &mut rng);
         // dim = 128 → two words per row, no padding bits to invalidate.
         let packed = PackedMatrix::from_parts(vec![1, 2, 3, u64::MAX], 2, 128).unwrap();
-        let mut w = Writer::new_with_heap();
+        let mut w = Writer::new();
         w.put_u8(7);
         w.put_f32_slice(&[1.5, -2.5, 3.5]);
         w.put_i8_slice(&[-3, 0, 5]);
-        w.put_u64_slice(&[10, 20]);
         w.put_matrix(&m);
         w.put_packed_matrix(&packed);
         let (body, encoders) = w.into_parts();
         assert!(encoders.is_empty());
         assert_eq!(body.heap.len() % 8, 0, "heap must be 8-padded");
-        let blob = Arc::new(Blob::from_bytes(&body.heap));
-        let mut r = Reader::new_shared(&body.structure, blob, 0, body.heap.len(), &[]).unwrap();
+        let mut r = reader(&body, &[]);
         assert_eq!(r.get_u8().unwrap(), 7);
         assert_eq!(r.get_f32_vec().unwrap(), vec![1.5, -2.5, 3.5]);
-        assert_eq!(r.get_i8_vec().unwrap(), vec![-3, 0, 5]);
-        assert_eq!(r.get_u64_vec().unwrap(), vec![10, 20]);
+        let i8s = r.get_i8_storage().unwrap();
+        assert!(i8s.is_shared(), "i8 arrays must borrow the blob");
+        assert_eq!(i8s.into_vec(), vec![-3, 0, 5]);
         let m2 = r.get_matrix().unwrap();
         assert_eq!(m2, m);
         assert!(m2.is_shared(), "matrix must borrow the blob");
@@ -1626,16 +1539,14 @@ mod tests {
             ..Default::default()
         };
         let model = OnlineHd::fit(&config, &x, &y).unwrap();
-        let mut w = Writer::new_with_heap();
+        let mut w = Writer::new();
         model.encode_into(&mut w);
         let (body, encoders) = w.into_parts();
         // The projection travels outside the body, referenced by index.
         assert_eq!(encoders.len(), 1);
         assert!(body.heap.len() < 96 * 4 * 4, "body heap holds a projection");
         let encoders = shared_encoders(&encoders);
-        let blob = Arc::new(Blob::from_bytes(&body.heap));
-        let mut r =
-            Reader::new_shared(&body.structure, blob, 0, body.heap.len(), &encoders).unwrap();
+        let mut r = reader(&body, &encoders);
         let restored = OnlineHd::decode_from(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(model.scores_batch(&x), restored.scores_batch(&x));
@@ -1651,19 +1562,12 @@ mod tests {
 
     #[test]
     fn encoder_references_resolve_only_against_supplied_encoders() {
-        let (x, y) = toy();
-        let config = OnlineHdConfig {
-            dim: 32,
-            epochs: 2,
-            ..Default::default()
-        };
-        let model = OnlineHd::fit(&config, &x, &y).unwrap();
-        let mut w = Writer::new_with_heap();
-        model.encode_into(&mut w);
+        let mut w = Writer::new();
+        small_online().encode_into(&mut w);
         let (body, _) = w.into_parts();
-        let blob = Arc::new(Blob::from_bytes(&body.heap));
-        let mut r = Reader::new_shared(&body.structure, blob, 0, body.heap.len(), &[]).unwrap();
-        let err = OnlineHd::decode_from(&mut r).unwrap_err().to_string();
+        let err = OnlineHd::decode_from(&mut reader(&body, &[]))
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("encoder reference 0"), "{err}");
     }
 
@@ -1681,14 +1585,14 @@ mod tests {
     }
 
     /// An encoder body read off the live encoder is byte for byte what a
-    /// heap-mode writer serializes for its projection and phases, word by
-    /// word and as a whole, for projections with and without heap padding.
+    /// writer serializes for its projection and phases, word by word and
+    /// as a whole, for projections with and without heap padding.
     #[test]
     fn encoder_body_matches_the_heap_mode_stream() {
         let mut rng = Rng64::seed_from(5);
         for (dim, features) in [(64, 2), (7, 3), (33, 5)] {
             let enc = SinusoidEncoder::new(dim, features, &mut rng);
-            let mut w = Writer::new_with_heap();
+            let mut w = Writer::new();
             w.put_matrix(enc.projection_t().unwrap());
             w.put_f32_slice(enc.bias());
             let (want, _) = w.into_parts();
@@ -1725,13 +1629,11 @@ mod tests {
             .unwrap()
             .with_precision(Precision::Int8)
             .unwrap();
-        let mut w = Writer::new_with_heap();
+        let mut w = Writer::new();
         model.encode_into(&mut w);
         let (body, encoders) = w.into_parts();
         let encoders = shared_encoders(&encoders);
-        let blob = Arc::new(Blob::from_bytes(&body.heap));
-        let mut r =
-            Reader::new_shared(&body.structure, blob, 0, body.heap.len(), &encoders).unwrap();
+        let mut r = reader(&body, &encoders);
         let restored = OnlineHd::decode_from(&mut r).unwrap();
         assert!(r.is_exhausted());
         assert_eq!(model.scores_batch(&x), restored.scores_batch(&x));
@@ -1745,21 +1647,12 @@ mod tests {
     fn atomic_save_replaces_existing_file_and_cleans_temp() {
         let dir = std::env::temp_dir().join("boosthd_atomic_save_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.bhd");
+        let path = dir.join("model.bhde");
         std::fs::write(&path, b"garbage that must be replaced").unwrap();
-        let (x, y) = toy();
-        let model = OnlineHd::fit(
-            &OnlineHdConfig {
-                dim: 32,
-                epochs: 2,
-                ..Default::default()
-            },
-            &x,
-            &y,
-        )
-        .unwrap();
-        model.save(&path).unwrap();
-        let restored = OnlineHd::load(&path).unwrap();
+        let (x, _) = toy();
+        let model = small_online();
+        pipeline_of(&model).save(&path).unwrap();
+        let restored = Pipeline::load(&path).unwrap();
         assert_eq!(model.predict_batch(&x), restored.predict_batch(&x));
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -1775,19 +1668,8 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let (x, y) = toy();
-        let model = OnlineHd::fit(
-            &OnlineHdConfig {
-                dim: 32,
-                epochs: 2,
-                ..Default::default()
-            },
-            &x,
-            &y,
-        )
-        .unwrap();
-        let mut bytes = model.to_bytes();
+        let mut bytes = envelope(&small_online());
         bytes.push(0);
-        assert!(OnlineHd::from_bytes(&bytes).is_err());
+        assert!(reload::<OnlineHd>(&bytes).is_err());
     }
 }

@@ -15,9 +15,11 @@
 //!   configurable threshold — the "how sure are we?" signal an
 //!   abstain/escalate clinical workflow gates on (the paper's reliability
 //!   argument made operational);
-//! * [`Pipeline::save`]/[`Pipeline::load`] wrap the per-model binary
-//!   codecs in one versioned envelope that also records the spec, so a
-//!   deployed artifact knows how to rebuild and re-evaluate itself.
+//! * [`Pipeline::save`]/[`Pipeline::load`] frame the model's record body
+//!   (the one encoding the fleet store also writes; see
+//!   [`crate::persist`]) in a versioned envelope that also records the
+//!   spec, so a deployed artifact knows how to rebuild and re-evaluate
+//!   itself, and loads zero-copy.
 //!
 //! # Example
 //!
@@ -53,7 +55,7 @@ use crate::classifier::{argmax, predict_batch_chunked, Classifier};
 use crate::error::{BoostHdError, Result};
 use crate::memory::Precision;
 use crate::online::{OnlineHd, OnlineHdConfig};
-use crate::persist::{Reader, RecordParts, Writer};
+use crate::persist::{encoder_from_parts, EncoderBody, Reader, RecordParts, Writer};
 use crate::spec::{BaselineSpec, ModelSpec};
 use crate::BoostHdConfig;
 use faults::BitflipReport;
@@ -68,16 +70,16 @@ fn pipeline_err(reason: impl Into<String>) -> BoostHdError {
     }
 }
 
-/// Which binary payload codec a [`Model`] serializes through: one per HDC
-/// family, whatever the precision of its class memory (the codec records
-/// that itself; see [`crate::persist`]).
+/// Which model body a [`Model`] serializes as: one per HDC family,
+/// whatever the precision of its class memory (the body records that
+/// itself; see [`crate::persist`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadKind {
-    /// OnlineHD ([`OnlineHd::to_bytes`]).
+    /// OnlineHD ([`OnlineHd`]).
     OnlineHd,
-    /// Centroid model ([`CentroidHd::to_bytes`]).
+    /// Centroid model ([`CentroidHd`]).
     CentroidHd,
-    /// Boosted ensemble ([`BoostHd::to_bytes`]).
+    /// Boosted ensemble ([`BoostHd`]).
     BoostHd,
     /// No binary codec (the classical baselines); saving reports a clear
     /// error instead of writing an unreadable blob.
@@ -104,7 +106,8 @@ impl PayloadKind {
         })
     }
 
-    /// Decodes a model of this kind from `r` (full blob, header included).
+    /// Decodes a model of this kind from `r` (record body, header
+    /// included).
     fn decode(self, r: &mut Reader<'_>) -> Result<Box<dyn Model>> {
         Ok(match self {
             PayloadKind::OnlineHd => Box::new(OnlineHd::decode_from(r)?),
@@ -126,7 +129,7 @@ impl PayloadKind {
 /// Implemented by the three HDC families here (at every class-memory
 /// precision) and by the classical baselines in the `baselines` crate.
 pub trait Model: Classifier + Send + Sync {
-    /// Which binary codec [`Model::to_payload`] writes.
+    /// Which model body [`Model::encode_store`] writes.
     fn payload_kind(&self) -> PayloadKind;
 
     /// Clones the trained model behind the trait object (fault-injection
@@ -147,17 +150,22 @@ pub trait Model: Classifier + Send + Sync {
     /// parameter storage (the tree-based baselines).
     fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> Result<BitflipReport>;
 
-    /// Serializes the model through its binary codec.
+    /// Kept so existing `Model` wrappers that forward it still compile;
+    /// nothing in this crate calls it. Models serialize only through
+    /// [`Model::encode_store`]; save a [`Pipeline`] to get bytes.
     ///
     /// # Errors
     ///
-    /// Returns [`BoostHdError::InvalidConfig`] for families without a
-    /// codec ([`PayloadKind::Unsupported`]).
-    fn to_payload(&self) -> Result<Vec<u8>>;
+    /// Returns [`BoostHdError::InvalidConfig`] unless overridden.
+    fn to_payload(&self) -> Result<Vec<u8>> {
+        Err(BoostHdError::InvalidConfig {
+            reason: "models serialize through Model::encode_store; save a Pipeline instead".into(),
+        })
+    }
 
-    /// Writes the model's full blob through `w` — with a heap-mode writer
-    /// this is the fleet store's record body, splitting bulk arrays into
-    /// the zero-copy payload heap.
+    /// Writes the model's record body through `w`: the structure stream
+    /// plus the zero-copy payload heap that both the fleet store and the
+    /// `.bhde` envelope persist.
     ///
     /// # Errors
     ///
@@ -188,9 +196,6 @@ macro_rules! impl_hdc_model {
             }
             fn inject_bitflips(&mut self, p_b: f64, rng: &mut Rng64) -> Result<BitflipReport> {
                 Ok(<$ty>::inject_bitflips(self, p_b, rng))
-            }
-            fn to_payload(&self) -> Result<Vec<u8>> {
-                Ok(self.to_bytes())
             }
             fn encode_store(&self, w: &mut Writer) -> Result<()> {
                 self.encode_into(w);
@@ -301,12 +306,9 @@ impl Prediction {
 /// `"BHDP"` little-endian — the envelope magic (distinct from the inner
 /// model-blob magic so the two layers cannot be confused).
 const ENVELOPE_MAGIC: u32 = 0x5044_4842;
-/// The one envelope version this build reads and writes. Layout: magic,
-/// version, payload kind, abstain threshold, the save-time kernel-tuning
-/// record (`score_chunk: u32`, `threads: u32`, [`TuningSource`] tag),
-/// spec TOML, payload. Tuning is diagnostic provenance only — predictions
-/// never depend on it — so loading replays nothing.
-const ENVELOPE_VERSION: u8 = 3;
+/// The one envelope version this build reads and writes (layout at
+/// [`Pipeline::to_bytes`]).
+const ENVELOPE_VERSION: u8 = 4;
 
 /// The unified model facade; see the [module docs](self).
 pub struct Pipeline {
@@ -489,8 +491,9 @@ impl Pipeline {
         self.model.predict_batch(x)
     }
 
-    /// [`Pipeline::predict_batch`] fanned out over `threads` scoped worker
-    /// threads (identical results for any thread count).
+    /// [`Pipeline::predict_batch`] fanned out over `threads` contiguous row
+    /// chunks on the process-wide worker pool (identical results for any
+    /// thread count).
     pub fn predict_batch_parallel(&self, x: &Matrix, threads: usize) -> Vec<usize> {
         predict_batch_chunked(self, x, threads)
     }
@@ -560,47 +563,52 @@ impl Pipeline {
         .collect()
     }
 
-    /// Serializes the pipeline — spec, abstention threshold, and model
-    /// payload — into the versioned envelope.
+    /// Serializes the pipeline into the versioned envelope (BHDP v4):
+    ///
+    /// ```text
+    /// envelope := magic:u32 version:u8(=4) kind:u8 score_chunk:u32
+    ///             threads:u32 source:u8 0:u8       (16 bytes: parts start 8-aligned)
+    ///             part                             (the model record body)
+    ///             encoders:u64 part[encoders]      (one per stored encoder)
+    /// part     := structure_len:u64 heap_len:u64 structure 0:u8[pad to 8] heap
+    /// ```
+    ///
+    /// The model part is exactly the fleet store's record body (payload
+    /// kind, abstention threshold, spec TOML, then the model body of
+    /// [`crate::persist`]), and its encoder references index the encoder
+    /// parts in order; each encoder part is the store's encoder body (the
+    /// transposed projection, then the phases). Every heap starts 8-aligned
+    /// within the envelope. The save-time kernel-tuning record
+    /// ([`TuningSource`] tag last) is diagnostic provenance only —
+    /// predictions never depend on it — so loading replays nothing.
     ///
     /// # Errors
     ///
     /// Returns [`BoostHdError::InvalidConfig`] for families without a
     /// binary codec (the classical baselines).
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
-        let kind = self.model.payload_kind();
-        if kind == PayloadKind::Unsupported {
-            return Err(BoostHdError::InvalidConfig {
-                reason: format!(
-                    "model family `{}` has no binary codec; only the HDC models persist",
-                    self.spec.display_name()
-                ),
-            });
-        }
-        let payload = self.model.to_payload()?;
-        let spec_toml = self.spec.to_toml();
+        let (model, encoders) = self.encode_store_parts()?;
         let tuning = linalg::autotune::tuning();
-        let mut w = Writer::new();
-        w.put_u32(ENVELOPE_MAGIC);
-        w.put_u8(ENVELOPE_VERSION);
-        w.put_u8(kind.tag());
-        w.put_f32(self.abstain_threshold);
-        w.put_u32(tuning.score_chunk as u32);
-        w.put_u32(tuning.threads as u32);
-        w.put_u8(tuning.source.tag());
-        w.put_u64(spec_toml.len() as u64);
-        for &b in spec_toml.as_bytes() {
-            w.put_u8(b);
+        let mut out = Vec::new();
+        out.extend_from_slice(&ENVELOPE_MAGIC.to_le_bytes());
+        out.push(ENVELOPE_VERSION);
+        out.push(self.model.payload_kind().tag());
+        out.extend_from_slice(&(tuning.score_chunk as u32).to_le_bytes());
+        out.extend_from_slice(&(tuning.threads as u32).to_le_bytes());
+        out.push(tuning.source.tag());
+        out.push(0);
+        put_part(&mut out, &model);
+        out.extend_from_slice(&(encoders.len() as u64).to_le_bytes());
+        for encoder in &encoders {
+            put_part(&mut out, &EncoderBody::new(encoder).to_parts());
         }
-        w.put_u64(payload.len() as u64);
-        for &b in &payload {
-            w.put_u8(b);
-        }
-        Ok(w.into_bytes())
+        Ok(out)
     }
 
     /// Deserializes an envelope written by [`Pipeline::to_bytes`],
-    /// restoring the spec, abstention threshold, and model.
+    /// restoring the spec, abstention threshold, and model. The bytes are
+    /// copied once into an aligned blob the model then borrows its class
+    /// memories and projections from.
     ///
     /// # Errors
     ///
@@ -608,7 +616,14 @@ impl Pipeline {
     /// envelopes, and [`BoostHdError::InvalidConfig`] when the embedded
     /// spec disagrees with the payload kind.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = Reader::new(bytes);
+        Self::from_blob(Arc::new(Blob::from_bytes(bytes)))
+    }
+
+    /// [`Pipeline::from_bytes`] over an envelope already in a blob, which
+    /// the decoded model keeps alive through its zero-copy views.
+    pub(crate) fn from_blob(blob: Arc<Blob>) -> Result<Self> {
+        let bytes = blob.as_bytes();
+        let mut r = Reader::new(bytes, Arc::clone(&blob), 0, 0, &[])?;
         if r.get_u32()? != ENVELOPE_MAGIC {
             return Err(pipeline_err("not a pipeline envelope (bad magic)"));
         }
@@ -620,46 +635,53 @@ impl Pipeline {
             )));
         }
         let kind = PayloadKind::from_tag(r.get_u8()?)?;
-        let abstain_threshold = r.get_f32()?;
         let score_chunk = r.get_u32()? as usize;
         let threads = r.get_u32()? as usize;
         let source = TuningSource::from_tag(r.get_u8()?)
             .ok_or_else(|| pipeline_err("unknown tuning-source tag in envelope"))?;
-        let saved_tuning = Some(Tuning {
+        if r.get_u8()? != 0 {
+            return Err(pipeline_err("nonzero envelope header padding"));
+        }
+        let model = get_part(&mut r)?;
+        // Each encoder part is at least 16 bytes, so a corrupt count runs
+        // out of input long before it could exhaust memory.
+        let encoder_parts = (0..r.get_len()?)
+            .map(|_| get_part(&mut r))
+            .collect::<Result<Vec<_>>>()?;
+        if !r.is_exhausted() {
+            return Err(pipeline_err("trailing bytes after pipeline envelope"));
+        }
+        let encoders = encoder_parts
+            .iter()
+            .map(|p| {
+                encoder_from_parts(
+                    &bytes[p.structure.clone()],
+                    Arc::clone(&blob),
+                    p.heap.start,
+                    p.heap.len(),
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let mut pipeline = Self::decode_store_parts(
+            &bytes[model.structure],
+            Arc::clone(&blob),
+            model.heap.start,
+            model.heap.len(),
+            &encoders,
+        )?;
+        if expected_payload_kind(&pipeline.spec) != kind {
+            return Err(BoostHdError::InvalidConfig {
+                reason: format!(
+                    "envelope payload kind disagrees with its spec (`{}`)",
+                    pipeline.spec.kind_tag()
+                ),
+            });
+        }
+        pipeline.saved_tuning = Some(Tuning {
             score_chunk,
             threads,
             source,
         });
-        // Both counted sections validate their length prefix against the
-        // bytes actually present before any allocation, so a corrupted
-        // prefix fails descriptively instead of aborting on a huge
-        // reserve.
-        let spec_len = r.get_len()?;
-        let spec_bytes = r.get_bytes(spec_len, "envelope spec")?;
-        let spec_toml = std::str::from_utf8(spec_bytes)
-            .map_err(|_| pipeline_err("envelope spec is not valid UTF-8"))?;
-        let spec = ModelSpec::from_toml_str(spec_toml)?;
-        if expected_payload_kind(&spec) != kind {
-            return Err(BoostHdError::InvalidConfig {
-                reason: format!(
-                    "envelope payload kind disagrees with its spec (`{}`)",
-                    spec.kind_tag()
-                ),
-            });
-        }
-        let payload_len = r.get_len()?;
-        let payload = r.get_bytes(payload_len, "envelope payload")?;
-        if !r.is_exhausted() {
-            return Err(pipeline_err("trailing bytes after pipeline envelope"));
-        }
-        let mut payload_reader = Reader::new(payload);
-        let model = kind.decode(&mut payload_reader)?;
-        if !payload_reader.is_exhausted() {
-            return Err(pipeline_err("trailing bytes after model blob"));
-        }
-        let mut pipeline = Self::from_model(spec, model);
-        pipeline.set_abstain_threshold(abstain_threshold);
-        pipeline.saved_tuning = saved_tuning;
         Ok(pipeline)
     }
 
@@ -687,18 +709,17 @@ impl Pipeline {
         Self::from_bytes(&bytes)
     }
 
-    /// Serializes the pipeline for a fleet-store model record, returning
-    /// the record body and the stored encoders it references, as
-    /// copy-on-write clones of the live encoders rather than serialized.
-    /// The body's
-    /// structure stream holds the payload kind, abstention threshold, spec
-    /// TOML, and the model's scalar skeleton, while every bulk class-memory
-    /// array (class matrices, packed words, int8 grids) lands in the
-    /// 8-byte-aligned payload heap at an offset the structure stream
-    /// records. Each stored encoder appears in the stream only as an index
+    /// Serializes the pipeline's model record body — the one encoding both
+    /// the fleet store and the envelope persist — returning it with the
+    /// stored encoders it references, as copy-on-write clones of the live
+    /// encoders rather than serialized. The body's structure stream holds
+    /// the payload kind, abstention threshold, spec TOML, and the model's
+    /// scalar skeleton, while every bulk class-memory array (class
+    /// matrices, packed words, int8 grids) lands in the 8-byte-aligned
+    /// payload heap at an offset the structure stream records. Each stored encoder appears in the stream only as an index
     /// into the returned encoder list, so the store can write it once and
     /// share it. [`Pipeline::decode_store_parts`] serves the heap arrays
-    /// zero-copy out of the loaded record blob.
+    /// zero-copy out of the loaded blob.
     ///
     /// # Errors
     ///
@@ -715,7 +736,7 @@ impl Pipeline {
             });
         }
         let spec_toml = self.spec.to_toml();
-        let mut w = Writer::new_with_heap();
+        let mut w = Writer::new();
         w.put_u8(kind.tag());
         w.put_f32(self.abstain_threshold);
         w.put_u64(spec_toml.len() as u64);
@@ -726,7 +747,7 @@ impl Pipeline {
         Ok(w.into_parts())
     }
 
-    /// Rebuilds a pipeline from a fleet-store record: `structure` is the
+    /// Rebuilds a pipeline from a model record body: `structure` is the
     /// stream [`Pipeline::encode_store_parts`] produced,
     /// `blob[heap_base..heap_base + heap_len]` its payload heap, and
     /// `encoders` the decoded encoders its references index, in order.
@@ -746,30 +767,73 @@ impl Pipeline {
         heap_len: usize,
         encoders: &[SinusoidEncoder],
     ) -> Result<Self> {
-        let mut r = Reader::new_shared(structure, blob, heap_base, heap_len, encoders)?;
+        let mut r = Reader::new(structure, blob, heap_base, heap_len, encoders)?;
         let kind = PayloadKind::from_tag(r.get_u8()?)?;
         let abstain_threshold = r.get_f32()?;
         let spec_len = r.get_len()?;
-        let spec_bytes = r.get_bytes(spec_len, "store record spec")?;
+        let spec_bytes = r.get_bytes(spec_len, "model record spec")?;
         let spec_toml = std::str::from_utf8(spec_bytes)
-            .map_err(|_| pipeline_err("store record spec is not valid UTF-8"))?;
+            .map_err(|_| pipeline_err("model record spec is not valid UTF-8"))?;
         let spec = ModelSpec::from_toml_str(spec_toml)?;
         if expected_payload_kind(&spec) != kind {
             return Err(BoostHdError::InvalidConfig {
                 reason: format!(
-                    "store record payload kind disagrees with its spec (`{}`)",
+                    "model record payload kind disagrees with its spec (`{}`)",
                     spec.kind_tag()
                 ),
             });
         }
         let model = kind.decode(&mut r)?;
         if !r.is_exhausted() {
-            return Err(pipeline_err("trailing bytes after store record structure"));
+            return Err(pipeline_err("trailing bytes after model record structure"));
         }
         let mut pipeline = Self::from_model(spec, model);
         pipeline.set_abstain_threshold(abstain_threshold);
         Ok(pipeline)
     }
+}
+
+/// Appends one envelope part: both lengths, the structure stream padded
+/// to 8 bytes, then the (8-padded) heap.
+fn put_part(out: &mut Vec<u8>, part: &RecordParts) {
+    out.extend_from_slice(&(part.structure.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(part.heap.len() as u64).to_le_bytes());
+    out.extend_from_slice(&part.structure);
+    out.resize(out.len().next_multiple_of(8), 0);
+    out.extend_from_slice(&part.heap);
+}
+
+/// Where one envelope part's structure stream and heap sit in the
+/// envelope.
+struct PartRanges {
+    structure: std::ops::Range<usize>,
+    heap: std::ops::Range<usize>,
+}
+
+/// Reads the part [`put_part`] wrote at the reader's position.
+fn get_part(r: &mut Reader<'_>) -> Result<PartRanges> {
+    let structure_len = r.get_len()?;
+    let heap_len = r.get_len()?;
+    let start = r.position();
+    r.get_bytes(structure_len, "envelope part structure")?;
+    let pad = r.get_bytes(
+        structure_len.next_multiple_of(8) - structure_len,
+        "envelope padding",
+    )?;
+    if pad.iter().any(|&b| b != 0) {
+        return Err(pipeline_err("nonzero envelope part padding"));
+    }
+    if !heap_len.is_multiple_of(8) {
+        return Err(pipeline_err(format!(
+            "envelope part heap of {heap_len} bytes is not 8-padded"
+        )));
+    }
+    let heap_start = r.position();
+    r.get_bytes(heap_len, "envelope part heap")?;
+    Ok(PartRanges {
+        structure: start..start + structure_len,
+        heap: heap_start..heap_start + heap_len,
+    })
 }
 
 /// The payload kind a spec's trained model serializes through.
@@ -883,6 +947,32 @@ mod tests {
                 "{name} predictions drifted through the envelope"
             );
             assert_eq!(restored.spec(), &spec, "{name}");
+        }
+    }
+
+    /// A loaded envelope serves zero-copy: every HDC family borrows its
+    /// arrays out of the one blob the envelope was copied into, so the
+    /// blob's refcount rises past the caller's handle until the pipeline
+    /// is dropped.
+    #[test]
+    fn envelope_loads_zero_copy_out_of_one_blob() {
+        let (x, y) = toy();
+        for spec in hdc_specs() {
+            let name = spec.display_name();
+            let pipeline = Pipeline::fit(&spec, &x, &y).unwrap();
+            let blob = Arc::new(Blob::from_bytes(&pipeline.to_bytes().unwrap()));
+            let loaded = Pipeline::from_blob(Arc::clone(&blob)).unwrap();
+            assert!(
+                Arc::strong_count(&blob) > 1,
+                "{name} copied its arrays out of the envelope"
+            );
+            assert_eq!(
+                pipeline.predict_batch_with_confidence(&x),
+                loaded.predict_batch_with_confidence(&x),
+                "{name}"
+            );
+            drop(loaded);
+            assert_eq!(Arc::strong_count(&blob), 1, "{name}");
         }
     }
 
@@ -1086,7 +1176,7 @@ mod tests {
             .to_bytes()
             .unwrap();
         // Byte 4 is the envelope version (after the u32 magic).
-        for future_version in [4u8, 9, 250] {
+        for future_version in [5u8, 9, 250] {
             let mut bumped = bytes.clone();
             bumped[4] = future_version;
             let err = Pipeline::from_bytes(&bumped).unwrap_err();
@@ -1148,7 +1238,7 @@ mod tests {
             .unwrap()
             .to_bytes()
             .unwrap();
-        for old in [1u8, 2] {
+        for old in [1u8, 2, 3] {
             let mut stale = bytes.clone();
             stale[4] = old;
             let err = Pipeline::from_bytes(&stale).unwrap_err();

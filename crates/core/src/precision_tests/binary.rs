@@ -87,31 +87,36 @@ mod tests {
             .unwrap()
             .with_precision(BINARY)
             .unwrap();
-        // Rebuild the learners but give one an encoder of the wrong width:
-        // loading such a blob must Err instead of panicking at inference.
+        // Rebuild the learners but give them an encoder of the wrong width,
+        // or one reading another feature width: loading such a blob must
+        // Err instead of panicking at inference.
         let mut rng = Rng64::seed_from(0);
-        let wrong_encoder = SinusoidEncoder::new(64, x.cols(), &mut rng);
-        let learners = (0..good.num_learners())
-            .map(|i| {
-                let (alpha, seg_start, seg_end, _) = good.learner_parts(i);
-                let memory = good.learner_class_memory(i).clone();
-                (
-                    alpha,
-                    seg_start,
-                    seg_end,
-                    memory,
-                    Some(wrong_encoder.clone()),
-                )
-            })
-            .collect();
-        assert!(BoostHd::from_parts(
-            good.encoder().clone(),
-            learners,
-            good.num_classes(),
-            *good.config(),
-            good.training_errors().to_vec(),
-        )
-        .is_err());
+        for wrong_encoder in [
+            SinusoidEncoder::new(64, x.cols(), &mut rng),
+            SinusoidEncoder::new(128, x.cols() + 1, &mut rng),
+        ] {
+            let learners = (0..good.num_learners())
+                .map(|i| {
+                    let (alpha, seg_start, seg_end, _) = good.learner_parts(i);
+                    let memory = good.learner_class_memory(i).clone();
+                    (
+                        alpha,
+                        seg_start,
+                        seg_end,
+                        memory,
+                        Some(wrong_encoder.clone()),
+                    )
+                })
+                .collect();
+            assert!(BoostHd::from_parts(
+                good.encoder().clone(),
+                learners,
+                good.num_classes(),
+                *good.config(),
+                good.training_errors().to_vec(),
+            )
+            .is_err());
+        }
     }
 
     #[test]

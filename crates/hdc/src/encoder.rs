@@ -321,7 +321,7 @@ impl SinusoidEncoder {
     /// # Errors
     ///
     /// Returns [`HdcError::InvalidConfig`] if `dim` or `input_len` is zero,
-    /// or `bandwidth` is not strictly positive.
+    /// their product overflows, or `bandwidth` is not strictly positive.
     pub fn try_new_remat_with_bandwidth(
         dim: usize,
         input_len: usize,
@@ -338,6 +338,11 @@ impl SinusoidEncoder {
                 reason: format!("bandwidth must be positive, got {bandwidth}"),
             });
         }
+        let draws = dim
+            .checked_mul(input_len)
+            .ok_or_else(|| HdcError::InvalidConfig {
+                reason: format!("projection {dim} x {input_len} overflows"),
+            })?;
         let spec = RematSpec {
             seed,
             dim,
@@ -348,7 +353,7 @@ impl SinusoidEncoder {
         // stream; burn through the projection once to position the RNG
         // (O(D·F) compute, O(1) memory — construction only).
         let mut rng = Rng64::seed_from(seed);
-        for _ in 0..dim * input_len {
+        for _ in 0..draws {
             rng.normal();
         }
         let bias = (0..dim)
@@ -1105,6 +1110,7 @@ mod tests {
     fn remat_rejects_degenerate_configs() {
         assert!(SinusoidEncoder::try_new_remat(0, 4, 1).is_err());
         assert!(SinusoidEncoder::try_new_remat(4, 0, 1).is_err());
+        assert!(SinusoidEncoder::try_new_remat(usize::MAX, 2, 1).is_err());
         assert!(SinusoidEncoder::try_new_remat_with_bandwidth(4, 4, 0.0, 1).is_err());
         assert!(SinusoidEncoder::try_new_remat_with_bandwidth(4, 4, f32::NAN, 1).is_err());
     }

@@ -1,6 +1,6 @@
-//! Integration tests for the deployment path: persist a trained model,
-//! reload it, keep adapting it online, quantize it for 1-bit storage —
-//! the full lifecycle a wearable would run.
+//! Integration tests for the deployment path: persist a trained model in a
+//! `.bhde` envelope, reload it, keep adapting it online, quantize it for
+//! 1-bit storage — the full lifecycle a wearable would run.
 
 use boosthd_repro::prelude::*;
 
@@ -25,20 +25,26 @@ fn persisted_boosthd_round_trips_through_disk() {
         epochs: 5,
         ..Default::default()
     };
-    let model = BoostHd::fit(&config, train.features(), train.labels()).unwrap();
+    let model = Pipeline::fit(
+        &ModelSpec::BoostHd(config),
+        train.features(),
+        train.labels(),
+    )
+    .unwrap();
 
     let dir = std::env::temp_dir().join("boosthd_deployment_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("ensemble.bhd");
+    let path = dir.join("ensemble.bhde");
     model.save(&path).unwrap();
-    let restored = BoostHd::load(&path).unwrap();
+    let restored = Pipeline::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
 
     assert_eq!(
         model.predict_batch(test.features()),
         restored.predict_batch(test.features())
     );
-    assert_eq!(model.alphas(), restored.alphas());
+    let alphas = |p: &Pipeline| p.downcast_ref::<BoostHd>().unwrap().alphas().to_vec();
+    assert_eq!(alphas(&model), alphas(&restored));
 }
 
 #[test]
@@ -48,11 +54,19 @@ fn reloaded_onlinehd_keeps_learning_online() {
         dim: 500,
         ..Default::default()
     };
-    let model = OnlineHd::fit(&config, train.features(), train.labels()).unwrap();
+    let model = Pipeline::fit(
+        &ModelSpec::OnlineHd(config),
+        train.features(),
+        train.labels(),
+    )
+    .unwrap();
 
-    // Ship to the device...
-    let bytes = model.to_bytes();
-    let mut on_device = OnlineHd::from_bytes(&bytes).unwrap();
+    // Ship to the device: the reload borrows its class memory straight
+    // out of the envelope bytes...
+    let bytes = model.to_bytes().unwrap();
+    let mut restored = Pipeline::from_bytes(&bytes).unwrap();
+    let on_device = restored.downcast_mut::<OnlineHd>().unwrap();
+    assert!(on_device.class_hypervectors().is_shared());
 
     // ...and keep adapting there: a full streaming pass over the test
     // wearers must not degrade accuracy on their data.
@@ -61,6 +75,8 @@ fn reloaded_onlinehd_keeps_learning_online() {
     on_device
         .update_batch(test.features(), test.labels())
         .unwrap();
+    // ...and the first update copies it into memory the model owns.
+    assert!(!on_device.class_hypervectors().is_shared());
     let after =
         eval_harness::metrics::accuracy(&on_device.predict_batch(test.features()), test.labels());
     assert!(
@@ -84,7 +100,11 @@ fn quantized_models_survive_persistence_and_faults() {
     // Quantize for 1-bit storage, round-trip through bytes, then inject
     // faults: the pipeline the robustness experiments assume.
     model.quantize_bipolar();
-    let mut restored = BoostHd::from_bytes(&model.to_bytes()).unwrap();
+    let envelope = Pipeline::from_model(ModelSpec::BoostHd(config), Box::new(model))
+        .to_bytes()
+        .unwrap();
+    let mut reloaded = Pipeline::from_bytes(&envelope).unwrap();
+    let restored = reloaded.downcast_mut::<BoostHd>().unwrap();
     let quant_acc =
         eval_harness::metrics::accuracy(&restored.predict_batch(test.features()), test.labels());
     // Sign-quantization noise on per-learner similarities scales like
@@ -97,7 +117,7 @@ fn quantized_models_survive_persistence_and_faults() {
     );
 
     let mut rng = Rng64::seed_from(5);
-    let report = flip_bits(&mut restored, 1e-5, &mut rng);
+    let report = flip_bits(restored, 1e-5, &mut rng);
     assert!(report.words > 0);
     let faulty_acc =
         eval_harness::metrics::accuracy(&restored.predict_batch(test.features()), test.labels());
@@ -115,20 +135,26 @@ fn corrupted_blob_never_panics() {
         epochs: 2,
         ..Default::default()
     };
-    let model = OnlineHd::fit(&config, train.features(), train.labels()).unwrap();
-    let bytes = model.to_bytes();
+    let model = Pipeline::fit(
+        &ModelSpec::OnlineHd(config),
+        train.features(),
+        train.labels(),
+    )
+    .unwrap();
+    let bytes = model.to_bytes().unwrap();
     // Truncate at every eighth boundary — every failure must be an Err,
     // never a panic or a silently wrong model.
     for cut in (0..bytes.len()).step_by(bytes.len() / 8 + 1) {
-        assert!(OnlineHd::from_bytes(&bytes[..cut]).is_err());
+        assert!(Pipeline::from_bytes(&bytes[..cut]).is_err());
     }
     // Flip a byte mid-payload: either rejected or produces a model of the
     // same shape (a single mutated f32 cannot change structure).
     let mut mutated = bytes.clone();
     let mid = mutated.len() / 2;
     mutated[mid] ^= 0x40;
-    if let Ok(m) = OnlineHd::from_bytes(&mutated) {
+    if let Ok(m) = Pipeline::from_bytes(&mutated) {
         assert_eq!(m.num_classes(), model.num_classes());
-        assert_eq!(m.dim(), model.dim());
+        let dim = |p: &Pipeline| p.downcast_ref::<OnlineHd>().unwrap().dim();
+        assert_eq!(dim(&m), dim(&model));
     }
 }

@@ -84,18 +84,23 @@ fn quantized_ensemble_survives_disk_and_packed_faults() {
         n_learners: 10,
         ..Default::default()
     };
-    let quantized = BoostHd::fit(&config, train.features(), train.labels())
-        .unwrap()
-        .with_precision(Precision::Binary)
-        .unwrap();
+    let quantized = Pipeline::fit(
+        &ModelSpec::BoostHd(config),
+        train.features(),
+        train.labels(),
+    )
+    .unwrap()
+    .with_precision(Precision::Binary)
+    .unwrap();
 
     // Ship to the device and back.
     let dir = std::env::temp_dir().join("boosthd_quantized_test");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("ensemble.qbhd");
+    let path = dir.join("ensemble.bhde");
     quantized.save(&path).unwrap();
-    let mut on_device = BoostHd::load(&path).unwrap();
-    assert_eq!(on_device.precision(), Precision::Binary);
+    let mut on_device = Pipeline::load(&path).unwrap();
+    let precision = |p: &Pipeline| p.downcast_ref::<BoostHd>().unwrap().precision();
+    assert_eq!(precision(&on_device), Precision::Binary);
     std::fs::remove_file(&path).ok();
     assert_eq!(
         quantized.predict_batch(test.features()),
@@ -108,7 +113,7 @@ fn quantized_ensemble_survives_disk_and_packed_faults() {
     let clean_acc =
         eval_harness::metrics::accuracy(&on_device.predict_batch(test.features()), test.labels());
     let mut rng = Rng64::seed_from(11);
-    let report = Model::inject_bitflips(&mut on_device, 1e-3, &mut rng).unwrap();
+    let report = on_device.inject_bitflips(1e-3, &mut rng).unwrap();
     assert!(report.flipped > 0);
     let faulty_acc =
         eval_harness::metrics::accuracy(&on_device.predict_batch(test.features()), test.labels());
@@ -125,11 +130,15 @@ fn quantized_onlinehd_round_trips_and_batches_consistently() {
         dim: 1000,
         ..Default::default()
     };
-    let quantized = OnlineHd::fit(&config, train.features(), train.labels())
-        .unwrap()
-        .with_precision(Precision::Binary)
-        .unwrap();
-    let restored = OnlineHd::from_bytes(&quantized.to_bytes()).unwrap();
+    let quantized = Pipeline::fit(
+        &ModelSpec::OnlineHd(config),
+        train.features(),
+        train.labels(),
+    )
+    .unwrap()
+    .with_precision(Precision::Binary)
+    .unwrap();
+    let restored = Pipeline::from_bytes(&quantized.to_bytes().unwrap()).unwrap();
     let batch = restored.predict_batch(test.features());
     let rowwise: Vec<usize> = (0..test.features().rows())
         .map(|r| restored.predict(test.features().row(r)))
